@@ -105,3 +105,11 @@ shard_bench_bin="build/$preset/bench/shard_scaling"
 if [[ -x "$shard_bench_bin" ]]; then
   "$shard_bench_bin" --smoke
 fi
+
+# Thread scaling bench smoke: `setm --threads N` at 1/2/4/8 threads must
+# reproduce the 1-thread itemsets and every iteration's k, |R'_k|, |R_k|
+# and |C_k|. Release only: the sweep mines Quest D2K four times.
+threads_bench_bin="build/$preset/bench/scaling_threads"
+if [[ "$preset" == "release" && -x "$threads_bench_bin" ]]; then
+  "$threads_bench_bin" --smoke
+fi

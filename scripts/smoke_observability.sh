@@ -4,7 +4,9 @@
 #   process A  mines at a low threshold with a small pool and stores the
 #              run, exporting --trace and --metrics prom;
 #   process B  reopens the file and re-asks at a HIGHER threshold, same
-#              exports.
+#              exports;
+#   process C  mines the same CSV at A's threshold with --threads 4 and
+#              --trace, without a database file.
 #
 # Asserts, per the ISSUE 8 acceptance criteria:
 #   1. A's trace is a full-mine tree: a "request" root tagged
@@ -18,7 +20,10 @@
 #      line well-formed, cumulative histogram buckets monotone with the
 #      +Inf bucket equal to _count, and the io/pool/wal/plan/mine families
 #      all present;
-#   4. the --stats ledger carries the pool: and wal: lines.
+#   4. the --stats ledger carries the pool: and wal: lines;
+#   5. C's trace is a full-mine tree whose iteration spans (reported by the
+#      partitioned path's coordinator) carry the same per-iteration k,
+#      |R'_k|, |R_k| and |C_k| as A's serial mine.
 #
 #   usage: scripts/smoke_observability.sh path/to/setm_mine [workdir]
 set -euo pipefail
@@ -158,5 +163,35 @@ for f in "$WORK/a.err" "$WORK/b.err"; do
     "$f" || { echo "FAIL: no wal: ledger line in $f"; exit 1; }
 done
 echo "pool: and wal: ledger lines present"
+
+# -- 5. threaded full mine ----------------------------------------------------
+echo "== process C: threaded full mine, tracing"
+"$SETM_MINE" --input "$WORK/sales.csv" --minsup "$STORE_MINSUP" \
+  --threads 4 --format csv --trace > /dev/null 2> "$WORK/c.err"
+trace_of "$WORK/c.err" > "$WORK/c.trace"
+grep -q "request .*strategy=full-mine" "$WORK/c.trace" || {
+  echo "FAIL: C's root span is not tagged full-mine:"; cat "$WORK/c.trace"
+  exit 1
+}
+grep -q "^    mine .*algorithm=setm" "$WORK/c.trace" || {
+  echo "FAIL: C's trace has no mine span"; cat "$WORK/c.trace"; exit 1
+}
+# The deterministic per-iteration counters, without timings or reads.
+iteration_counters() {
+  grep -o "iteration .*" "$1" | grep -o "k=[0-9]* .*c_size=[0-9]*"
+}
+iteration_counters "$WORK/a.trace" > "$WORK/a.iters"
+iteration_counters "$WORK/c.trace" > "$WORK/c.iters"
+C_ITERS="$(wc -l < "$WORK/c.iters")"
+if [[ "$C_ITERS" -lt 2 ]]; then
+  echo "FAIL: threaded mine traced only $C_ITERS iteration spans"
+  cat "$WORK/c.trace"; exit 1
+fi
+diff "$WORK/a.iters" "$WORK/c.iters" > /dev/null || {
+  echo "FAIL: threaded iteration spans diverge from the serial mine's:"
+  diff "$WORK/a.iters" "$WORK/c.iters" || true
+  exit 1
+}
+echo "threaded trace: $C_ITERS iteration spans, counters equal to serial"
 
 echo "observability smoke OK"

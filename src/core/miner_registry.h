@@ -29,7 +29,7 @@ struct MinerInfo {
 
 /// Process-wide name -> Miner factory map. The seven built-in algorithms
 ///
-///   setm setm-parallel setm-sql nested-loop apriori ais brute-force
+///   setm setm-sql nested-loop apriori apriori-parallel ais brute-force
 ///
 /// are registered on first use, in that (stable) enumeration order;
 /// libraries and tests may Register additional algorithms, which then

@@ -1,14 +1,16 @@
 #include "core/setm.h"
 
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "core/parallel_setm.h"
 #include "core/setm_pipeline.h"
 #include "exec/exec_context.h"
 #include "exec/external_sort.h"
 #include "exec/operators.h"
+#include "shard/sharded_setm.h"
 
 namespace setm {
 
@@ -66,12 +68,17 @@ Result<Table*> LoadSalesTable(Database* db, const std::string& name,
 
 Result<MiningResult> SetmMiner::Mine(const TransactionDb& transactions,
                                      const MiningOptions& options) {
-  if (setm_options_.num_threads > 1) {
-    // Route before materializing SALES: the partitioned executor builds its
-    // row slices straight from the transaction database.
-    return ParallelSetmMiner(db_, setm_options_).Mine(transactions, options);
-  }
   SETM_RETURN_IF_ERROR(ValidateTransactions(transactions));
+  if (setm_options_.num_threads > 1) {
+    // Route before materializing SALES: the partitions take their row
+    // slices straight from the transaction database.
+    std::vector<shard::ShardRow> rows;
+    for (const Transaction& t : transactions) {
+      for (ItemId item : t.items) rows.push_back(shard::ShardRow{t.id, item});
+    }
+    return shard::MineOnLocalShards(db_, setm_options_, std::move(rows),
+                                    options);
+  }
   auto sales_or = NewRelation("sales", SalesSchema());
   if (!sales_or.ok()) return sales_or.status();
   std::unique_ptr<Table> sales = std::move(sales_or).value();
@@ -90,7 +97,10 @@ Result<MiningResult> SetmMiner::MineTable(const Table& sales,
     return Status::InvalidArgument("SALES must have schema (trans_id, item)");
   }
   if (setm_options_.num_threads > 1) {
-    return ParallelSetmMiner(db_, setm_options_).MineTable(sales, options);
+    std::vector<shard::ShardRow> rows;
+    SETM_RETURN_IF_ERROR(shard::ExtractRows(sales, &rows));
+    return shard::MineOnLocalShards(db_, setm_options_, std::move(rows),
+                                    options);
   }
   WallTimer total_timer;
   const IoStats io_before = *db_->io_stats();

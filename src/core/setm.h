@@ -51,7 +51,7 @@ class SetmMiner {
   static Schema RkSchema(size_t k);
 
   /// Sort-key columns (trans_id, item_1 .. item_k) of an R_k row — the
-  /// order every R_k is maintained in. Shared with the parallel executor.
+  /// order every R_k is maintained in.
   static std::vector<size_t> TidItemColumns(size_t k);
 
  private:

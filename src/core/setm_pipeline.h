@@ -12,13 +12,14 @@
 namespace setm {
 
 // The join/filter bodies of Algorithm SETM, shared verbatim by the serial
-// executor (setm.cc) and the partitioned executor (parallel_setm.cc). Each
-// helper is parameterized by a sink or membership probe, which is the only
-// thing the two executors legitimately differ in: the serial pipeline
-// aggregates into one global C_k, a partition aggregates local counts that
-// merge later. Everything else — the residual predicate, the column
-// indices, the projection, the (trans_id, items) sort order — exists once,
-// so the executors cannot drift apart by construction.
+// executor (setm.cc) and the shard backend (shard/local_backend.cc), which
+// runs every partition of `setm --threads N` and every LCOUNT/MERGE a
+// remote coordinator sends. Each helper is parameterized by a sink or
+// membership probe, which is the only thing the two legitimately differ
+// in: the serial pipeline aggregates into one global C_k, a shard
+// aggregates local counts that merge later. Everything else — the residual
+// predicate, the column indices, the projection, the (trans_id, items)
+// sort order — exists once, so they cannot drift apart by construction.
 
 /// Receives the item vector of each candidate row the R'_k join produces.
 /// Pass an empty function when the caller counts some other way.
@@ -35,7 +36,7 @@ using GroupSink = std::function<void(std::vector<ItemId> items,
 /// with `r1` (R_1) on trans_id, keeping extensions with q.item >
 /// p.item_{k-1}, projected to (trans_id, item_1..item_k) and materialized
 /// into `rk_prime`. When `sink` is set it sees each produced row's items —
-/// how the partitioned executor aggregates hash counts in the same pass.
+/// how a shard backend aggregates hash counts in the same pass.
 Status JoinIntoRkPrime(const Table& left, const Table& r1, size_t k,
                        Table* rk_prime, const CountSink& sink);
 

@@ -266,7 +266,7 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     MergeCounts(&states, minsup, &stats.c_size, &result.itemsets, &ck);
 
     // Phase 2 always runs, C_k empty or not: every shard materializes its
-    // (possibly empty) R_k, exactly like the in-process executors, so the
+    // (possibly empty) R_k, exactly like the serial pipeline, so the
     // iteration stats and observer callbacks stay aligned.
     ShardFilterStats total;
     s = FilterPhase(coord.pool, &states, k, &ck, &total);

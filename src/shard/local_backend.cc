@@ -10,9 +10,6 @@
 
 namespace setm::shard {
 
-namespace {
-
-/// Extracts (trans_id, item) pairs from a SALES-shaped table.
 Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows) {
   if (sales.schema().NumColumns() != 2) {
     return Status::InvalidArgument("SALES must have schema (trans_id, item)");
@@ -28,6 +25,8 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows) {
   }
   return Status::OK();
 }
+
+namespace {
 
 ExecContext LocalContext(Database* db) {
   // Backends run on the coordinator's fan-out pool (or a server job thread):
@@ -206,8 +205,8 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
                            SetmMiner::RkSchema(k));
   if (!rk_or.ok()) return rk_or.status();
   std::unique_ptr<Table> rk = std::move(rk_or).value();
-  // Matches the partitioned executor's FilterAndSort: an empty global C_k
-  // still creates (and reports) an empty R_k.
+  // An empty global C_k still creates (and reports) an empty R_k, so the
+  // iteration stats line up with the serial pipeline's.
   if (!keys.empty()) {
     SETM_RETURN_IF_ERROR(
         FilterRkPrimeIntoRk(LocalContext(db_), *rk_prime_, k, probe,

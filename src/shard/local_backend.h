@@ -17,16 +17,20 @@ struct ShardRow {
   ItemId item = 0;
 };
 
+/// Appends the (trans_id, item) pairs of a SALES-shaped table to `rows`
+/// through one scan; InvalidArgument unless the schema has two columns.
+Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
+
 /// The in-process shard: runs the SETM pipeline bodies (the same
-/// JoinIntoRkPrime / FilterRkPrimeIntoRk / CountInto the serial and
-/// partitioned executors share) over one SALES slice, reporting full local
-/// counts with min_count = 1. This class is both the coordinator's local
-/// execution path and the server-side implementation of LCOUNT/MERGE, so
-/// local and remote shards cannot drift apart.
+/// JoinIntoRkPrime / FilterRkPrimeIntoRk / CountInto the serial pipeline
+/// uses) over one SALES slice, reporting full local counts with
+/// min_count = 1. This class is both the coordinator's local execution path
+/// and the server-side implementation of LCOUNT/MERGE, so local and remote
+/// shards cannot drift apart.
 ///
 /// The slice comes from one of two sources, chosen before BeginRun:
-///   - SetRows(rows): a fixed in-memory slice (the partition-parallel
-///     "setm-sharded" miner and tests use this).
+///   - SetRows(rows): a fixed in-memory slice (`setm --threads N` through
+///     MineOnLocalShards, and tests, use this).
 ///   - BindTable(name): re-extracted from `db`'s catalog at every BeginRun,
 ///     so a long-lived backend sees rows appended between runs (the server
 ///     and file-shard members use this).

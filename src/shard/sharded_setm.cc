@@ -4,24 +4,22 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
+#include "common/timer.h"
 #include "exec/worker_pool.h"
 #include "shard/coordinator.h"
-#include "shard/local_backend.h"
 
 namespace setm::shard {
 
-namespace {
-
-/// The coordinator pipeline over pre-extracted SALES rows.
-Result<MiningResult> RunSharded(Database* db, const SetmOptions& so,
-                                std::vector<ShardRow> rows,
-                                const MiningOptions& options) {
+Result<MiningResult> MineOnLocalShards(Database* db,
+                                       const SetmOptions& setm_options,
+                                       std::vector<ShardRow> rows,
+                                       const MiningOptions& options) {
+  WallTimer total_timer;
   const IoStats io_before = *db->io_stats();
 
-  // Same row-balanced trans_id partitioning as the partitioned executor:
-  // sort once, then cut at transaction boundaries.
+  // Row-balanced trans_id partitioning: sort once, then cut at transaction
+  // boundaries.
   std::sort(rows.begin(), rows.end(),
             [](const ShardRow& a, const ShardRow& b) {
               return a.tid != b.tid ? a.tid < b.tid : a.item < b.item;
@@ -30,7 +28,7 @@ Result<MiningResult> RunSharded(Database* db, const SetmOptions& so,
   for (size_t i = 0; i < rows.size(); ++i) {
     if (i == 0 || rows[i].tid != rows[i - 1].tid) ++num_transactions;
   }
-  const size_t want = std::max<size_t>(1, so.num_threads);
+  const size_t want = std::max<size_t>(1, setm_options.num_threads);
   const size_t num_shards = static_cast<size_t>(std::min<uint64_t>(
       want, std::max<uint64_t>(1, num_transactions)));
   std::vector<std::vector<ShardRow>> slices(num_shards);
@@ -58,53 +56,22 @@ Result<MiningResult> RunSharded(Database* db, const SetmOptions& so,
   }
 
   CoordinatorOptions coord;
-  coord.run.storage = so.storage;
-  coord.run.count_method = so.count_method;
+  coord.run.storage = setm_options.storage;
+  coord.run.count_method = setm_options.count_method;
   coord.pool = db->worker_pool();
   std::unique_ptr<WorkerPool> owned_pool;
-  if (coord.pool == nullptr && so.num_threads > 1) {
-    owned_pool =
-        std::make_unique<WorkerPool>(std::min(so.num_threads, num_shards));
+  if (coord.pool == nullptr && setm_options.num_threads > 1) {
+    // No point spawning more workers than shards to occupy them.
+    owned_pool = std::make_unique<WorkerPool>(
+        std::min(setm_options.num_threads, num_shards));
     coord.pool = owned_pool.get();
   }
 
   auto result = DistributedMine(shards, options, coord);
   if (!result.ok()) return result.status();
   result.value().io = Diff(*db->io_stats(), io_before);
+  result.value().total_seconds = total_timer.ElapsedSeconds();
   return result;
-}
-
-}  // namespace
-
-Result<MiningResult> ShardedSetmMiner::Mine(const TransactionDb& transactions,
-                                            const MiningOptions& options) {
-  SETM_RETURN_IF_ERROR(ValidateTransactions(transactions));
-  std::vector<ShardRow> rows;
-  size_t total = 0;
-  for (const Transaction& t : transactions) total += t.items.size();
-  rows.reserve(total);
-  for (const Transaction& t : transactions) {
-    for (ItemId item : t.items) rows.push_back(ShardRow{t.id, item});
-  }
-  return RunSharded(db_, setm_options_, std::move(rows), options);
-}
-
-Result<MiningResult> ShardedSetmMiner::MineTable(const Table& sales,
-                                                 const MiningOptions& options) {
-  if (sales.schema().NumColumns() != 2) {
-    return Status::InvalidArgument("SALES must have schema (trans_id, item)");
-  }
-  std::vector<ShardRow> rows;
-  rows.reserve(sales.num_rows());
-  auto it = sales.Scan();
-  Tuple row;
-  while (true) {
-    auto more = it->Next(&row);
-    if (!more.ok()) return more.status();
-    if (!more.value()) break;
-    rows.push_back(ShardRow{row.value(0).AsInt32(), row.value(1).AsInt32()});
-  }
-  return RunSharded(db_, setm_options_, std::move(rows), options);
 }
 
 }  // namespace setm::shard

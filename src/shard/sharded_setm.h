@@ -1,42 +1,35 @@
 #ifndef SETM_SHARD_SHARDED_SETM_H_
 #define SETM_SHARD_SHARDED_SETM_H_
 
-#include "core/setm.h"
+#include <vector>
+
+#include "core/miner.h"
 #include "core/types.h"
 #include "relational/database.h"
+#include "shard/local_backend.h"
 
 namespace setm::shard {
 
-/// SETM through the distributed coordinator, entirely in process: SALES is
-/// range-partitioned on trans_id into `num_threads` shard slices (never
-/// splitting a transaction), each slice gets a LocalShardBackend, and
-/// DistributedMine drives the two-phase count over them on a worker pool.
+/// The partitioned SETM executor behind SetmMiner when
+/// SetmOptions::num_threads > 1. SETM reduces mining to external sort and
+/// merge-scan join, and both split over disjoint trans_id ranges, so:
 ///
-/// Functionally this mirrors ParallelSetmMiner — identical output for any
-/// shard count, asserted by miners_equivalence_test under the registry name
-/// "setm-sharded" — but it exercises the exact coordinator/backend seam the
-/// multi-database ShardedDatabase and the remote LCOUNT/MERGE protocol use,
-/// so the scale-out path is covered by the same equivalence suite that
-/// guards the in-process executors.
-class ShardedSetmMiner {
- public:
-  /// Uses the database's shared worker pool when it has one, otherwise
-  /// spins up a private pool per Mine call (num_threads > 1 only).
-  explicit ShardedSetmMiner(Database* db, SetmOptions setm_options = {})
-      : db_(db), setm_options_(setm_options) {}
-
-  /// Mines a transaction database (same contract as SetmMiner::Mine).
-  Result<MiningResult> Mine(const TransactionDb& transactions,
-                            const MiningOptions& options);
-
-  /// Mines an existing relation with schema (trans_id INT32, item INT32).
-  Result<MiningResult> MineTable(const Table& sales,
-                                 const MiningOptions& options);
-
- private:
-  Database* db_;
-  SetmOptions setm_options_;
-};
+///   1. `rows` (SALES pairs, any order) are range-partitioned on trans_id
+///      into up to `setm_options.num_threads` row-balanced slices, never
+///      splitting a transaction;
+///   2. each slice gets an in-process LocalShardBackend — the same backend
+///      that serves LCOUNT/MERGE for remote coordinators;
+///   3. DistributedMine drives the two-phase count over them on the
+///      database's worker pool, or a private pool for this call when the
+///      database has none.
+///
+/// Itemsets and per-iteration |R'_k|, |R_k|, bytes and |C_k| are identical
+/// to the serial pipeline for any thread count (miners_equivalence_test).
+/// The returned MiningResult::io is the database ledger's delta.
+Result<MiningResult> MineOnLocalShards(Database* db,
+                                       const SetmOptions& setm_options,
+                                       std::vector<ShardRow> rows,
+                                       const MiningOptions& options);
 
 }  // namespace setm::shard
 

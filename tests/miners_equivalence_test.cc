@@ -149,17 +149,19 @@ INSTANTIATE_TEST_SUITE_P(
                     Case{15, 0.04, 200, 5, 18}));
 
 // --------------------------------------------------------------------------
-// Parallel partitioned SETM: any thread count, either storage backing and
-// either count method must reproduce the serial miner bit-for-bit — same
-// itemsets, same rules, same per-iteration relation sizes. (kSortMerge at
-// num_threads > 1 is the per-partition sort-based counting path.)
+// Partitioned SETM (num_threads > 1, trans_id partitions mined as in-process
+// shards through the two-phase coordinator): any thread count, either
+// storage backing and either count method must reproduce the serial miner
+// bit-for-bit — same itemsets, same rules, same per-iteration relation
+// sizes. (kSortMerge at num_threads > 1 is the per-partition sort-based
+// counting path.)
 // --------------------------------------------------------------------------
 
-class ParallelSetmTest
+class PartitionedSetmTest
     : public testing::TestWithParam<
           std::tuple<uint64_t, TableBacking, size_t, CountMethod>> {};
 
-TEST_P(ParallelSetmTest, IdenticalToSerialMiner) {
+TEST_P(PartitionedSetmTest, IdenticalToSerialMiner) {
   QuestOptions gen;
   gen.seed = std::get<0>(GetParam());
   gen.num_transactions = 250;
@@ -182,8 +184,7 @@ TEST_P(ParallelSetmTest, IdenticalToSerialMiner) {
   SetmOptions parallel_opts = serial_opts;
   parallel_opts.num_threads = std::get<2>(GetParam());
   Database parallel_db;
-  // Through "setm" (not "setm-parallel") so the num_threads routing knob is
-  // covered too.
+  // Through "setm", so the num_threads routing knob is covered too.
   auto result =
       MineVia("setm", &parallel_db, &txns, nullptr, options, parallel_opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -216,7 +217,7 @@ TEST_P(ParallelSetmTest, IdenticalToSerialMiner) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ThreadSweep, ParallelSetmTest,
+    ThreadSweep, PartitionedSetmTest,
     testing::Combine(testing::Values(uint64_t{101}, uint64_t{303}),
                      testing::Values(TableBacking::kMemory,
                                      TableBacking::kHeap),
@@ -224,7 +225,7 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(CountMethod::kSortMerge,
                                      CountMethod::kHash)));
 
-TEST(ParallelSetmTest, SharedDatabaseWorkerPoolAndOptions) {
+TEST(PartitionedSetmTest, SharedDatabaseWorkerPoolAndOptions) {
   QuestOptions gen;
   gen.seed = 4242;
   gen.num_transactions = 200;
@@ -249,12 +250,12 @@ TEST(ParallelSetmTest, SharedDatabaseWorkerPoolAndOptions) {
   SetmOptions setm_options;
   setm_options.num_threads = 3;
   auto result =
-      MineVia("setm-parallel", &db, &txns, nullptr, options, setm_options);
+      MineVia("setm", &db, &txns, nullptr, options, setm_options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
 }
 
-TEST(ParallelSetmTest, MoreThreadsThanTransactions) {
+TEST(PartitionedSetmTest, MoreThreadsThanTransactions) {
   TransactionDb txns = PaperExampleTransactions();
   Database serial_db;
   auto expected =
@@ -264,20 +265,19 @@ TEST(ParallelSetmTest, MoreThreadsThanTransactions) {
   Database db;
   SetmOptions setm_options;
   setm_options.num_threads = 64;  // far more than the example's transactions
-  auto result = MineVia("setm-parallel", &db, &txns, nullptr,
-                        PaperExampleOptions(), setm_options);
+  auto result = MineVia("setm", &db, &txns, nullptr, PaperExampleOptions(),
+                        setm_options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
 }
 
-TEST(ParallelSetmTest, EmptyDatabase) {
+TEST(PartitionedSetmTest, EmptyDatabase) {
   Database db;
   SetmOptions setm_options;
   setm_options.num_threads = 4;
   TransactionDb empty;
   auto result =
-      MineVia("setm-parallel", &db, &empty, nullptr, MiningOptions{},
-              setm_options);
+      MineVia("setm", &db, &empty, nullptr, MiningOptions{}, setm_options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().itemsets.TotalPatterns(), 0u);
 }

@@ -620,12 +620,12 @@ TEST(ShardManifestTest, SaveLoadAndMissingFile) {
 // only pin the metadata that drives that sweep.
 // --------------------------------------------------------------------------
 
-TEST(ShardRegistryTest, ShardedMinerAndParallelAprioriAreRegistered) {
-  bool saw_sharded = false;
+TEST(ShardRegistryTest, PartitionedSetmAndParallelAprioriAreRegistered) {
+  bool saw_setm = false;
   bool saw_parallel_apriori = false;
   for (const MinerInfo& info : MinerRegistry::List()) {
-    if (info.name == "setm-sharded") {
-      saw_sharded = true;
+    if (info.name == "setm") {
+      saw_setm = true;
       EXPECT_TRUE(info.honors_storage);
       EXPECT_TRUE(info.honors_count_method);
       EXPECT_TRUE(info.honors_threads);
@@ -635,7 +635,7 @@ TEST(ShardRegistryTest, ShardedMinerAndParallelAprioriAreRegistered) {
       EXPECT_TRUE(info.honors_threads);
     }
   }
-  EXPECT_TRUE(saw_sharded);
+  EXPECT_TRUE(saw_setm);
   EXPECT_TRUE(saw_parallel_apriori);
 }
 
