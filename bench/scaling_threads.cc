@@ -8,18 +8,22 @@
 // shard::DistributedMine runs the two-phase count over them on a worker
 // pool: per-partition join, local count and R_k filter run in parallel,
 // while the merge of partial C_k counts and the global minsupport filter
-// run serially on the coordinator. Every partition's sort spills share the
-// database's one temp pool.
+// run serially on the coordinator. Each partition's sorts spill into a temp
+// pool of its own, so partitions share no pool mutex.
 //
 // Expected shape: speedup while per-partition work dominates, flattening as
-// the serial merge and the shared temp pool grow relative to it — an
-// Amdahl curve. Wall time is printed, never asserted. What is asserted
-// (exit 1 on any mismatch) is the determinism the partitioning promises:
-// at every thread count the itemsets and every iteration's k, |R'_k|,
-// |R_k| and |C_k| equal the 1-thread run's.
+// the serial C_k merge grows relative to it — an Amdahl curve — and sys
+// CPU staying a small fraction of user CPU at every thread count (a rising
+// sys share is lock contention). Wall time and the process's user/sys CPU
+// seconds are printed, never asserted. What is asserted (exit 1 on any
+// mismatch) is the determinism the partitioning promises: at every thread
+// count the itemsets and every iteration's k, |R'_k|, |R_k| and |C_k| equal
+// the 1-thread run's.
 //
 //   scaling_threads            Quest T10.I4.D60K (minutes)
 //   scaling_threads --smoke    Quest T10.I4.D2K, the same checks (seconds)
+
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <cstring>
@@ -33,6 +37,22 @@
 
 namespace setm {
 namespace {
+
+/// This process's user and sys CPU seconds so far.
+struct CpuTimes {
+  double user = 0.0;
+  double sys = 0.0;
+};
+
+CpuTimes ProcessCpu() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) / 1e6;
+  };
+  return CpuTimes{seconds(usage.ru_utime), seconds(usage.ru_stime)};
+}
 
 /// Prints every iteration whose deterministic counters differ from the
 /// 1-thread run's; true when all match.
@@ -69,9 +89,9 @@ int Run(bool smoke) {
   bench::Banner(
       "scaling_threads",
       "ROADMAP: partition parallelism over the paper's two primitives",
-      "speedup with threads, flattening at the serial C_k merge (printed, "
-      "not asserted); identical itemsets and per-iteration |R'|/|R|/|C| at "
-      "every thread count (asserted)");
+      "speedup with threads, flattening at the serial C_k merge, sys CPU a "
+      "small share of user CPU (printed, not asserted); identical itemsets "
+      "and per-iteration |R'|/|R|/|C| at every thread count (asserted)");
 
   QuestOptions gen;
   gen.num_transactions = smoke ? 2000 : 60000;
@@ -85,8 +105,9 @@ int Run(bool smoke) {
   options.min_support = 0.01;
 
   std::printf("dataset: %s\n\n", QuestDatasetName(gen).c_str());
-  std::printf("%-8s %12s %10s %12s %12s %10s\n", "threads", "time(s)",
-              "speedup", "patterns", "iterations", "match");
+  std::printf("%-8s %12s %10s %10s %10s %12s %12s %10s\n", "threads",
+              "time(s)", "speedup", "user(s)", "sys(s)", "patterns",
+              "iterations", "match");
 
   double base_seconds = 0.0;
   MiningResult base;
@@ -95,6 +116,7 @@ int Run(bool smoke) {
     SetmOptions setm_options;
     setm_options.num_threads = threads;
     SetmMiner miner(&db, setm_options);
+    const CpuTimes cpu_before = ProcessCpu();
     WallTimer timer;
     auto result = miner.Mine(txns, options);
     if (!result.ok()) {
@@ -103,6 +125,7 @@ int Run(bool smoke) {
       return 1;
     }
     const double seconds = timer.ElapsedSeconds();
+    const CpuTimes cpu_after = ProcessCpu();
     bool match = true;
     if (threads == 1) {
       base_seconds = seconds;
@@ -113,8 +136,10 @@ int Run(bool smoke) {
       match &= result.value().itemsets == base.itemsets;
     }
     const MiningResult& shown = threads == 1 ? base : result.value();
-    std::printf("%-8zu %12.3f %9.2fx %12zu %12zu %10s\n", threads, seconds,
-                base_seconds / seconds, shown.itemsets.TotalPatterns(),
+    std::printf("%-8zu %12.3f %9.2fx %10.3f %10.3f %12zu %12zu %10s\n",
+                threads, seconds, base_seconds / seconds,
+                cpu_after.user - cpu_before.user,
+                cpu_after.sys - cpu_before.sys, shown.itemsets.TotalPatterns(),
                 shown.iterations.size(), match ? "yes" : "NO");
     if (!match) {
       std::fprintf(stderr, "thread count %zu changed the result!\n", threads);

@@ -5,8 +5,8 @@
 #              run, exporting --trace and --metrics prom;
 #   process B  reopens the file and re-asks at a HIGHER threshold, same
 #              exports;
-#   process C  mines the same CSV at A's threshold with --threads 4 and
-#              --trace, without a database file.
+#   process C  mines the same CSV at A's threshold with --threads 4,
+#              --trace and --stats, without a database file.
 #
 # Asserts, per the ISSUE 8 acceptance criteria:
 #   1. A's trace is a full-mine tree: a "request" root tagged
@@ -23,7 +23,12 @@
 #   4. the --stats ledger carries the pool: and wal: lines;
 #   5. C's trace is a full-mine tree whose iteration spans (reported by the
 #      partitioned path's coordinator) carry the same per-iteration k,
-#      |R'_k|, |R_k| and |C_k| as A's serial mine.
+#      |R'_k|, |R_k| and |C_k| as A's serial mine;
+#   6. C's --stats pool: line is present, and its misses and write-backs
+#      equal C's `db io:` reads and writes: every page an in-memory database
+#      moves goes through some pool, the partitions' private temp pools
+#      included, so a pool missing from the line breaks the identity (at
+#      this input size C's sorts stay in memory, so both sides may be 0).
 #
 #   usage: scripts/smoke_observability.sh path/to/setm_mine [workdir]
 set -euo pipefail
@@ -167,7 +172,7 @@ echo "pool: and wal: ledger lines present"
 # -- 5. threaded full mine ----------------------------------------------------
 echo "== process C: threaded full mine, tracing"
 "$SETM_MINE" --input "$WORK/sales.csv" --minsup "$STORE_MINSUP" \
-  --threads 4 --format csv --trace > /dev/null 2> "$WORK/c.err"
+  --threads 4 --format csv --trace --stats > /dev/null 2> "$WORK/c.err"
 trace_of "$WORK/c.err" > "$WORK/c.trace"
 grep -q "request .*strategy=full-mine" "$WORK/c.trace" || {
   echo "FAIL: C's root span is not tagged full-mine:"; cat "$WORK/c.trace"
@@ -193,5 +198,21 @@ diff "$WORK/a.iters" "$WORK/c.iters" > /dev/null || {
   exit 1
 }
 echo "threaded trace: $C_ITERS iteration spans, counters equal to serial"
+
+# -- 6. threaded pool: ledger line --------------------------------------------
+C_POOL="$(grep -E "^pool: hits=[0-9]+ misses=[0-9]+ hit_ratio=[0-9.]+ \
+evictions=[0-9]+ writebacks=[0-9]+ retries=[0-9]+$" "$WORK/c.err")" || {
+  echo "FAIL: no pool: ledger line in $WORK/c.err"; exit 1;
+}
+C_DBIO="$(grep "^db io: " "$WORK/c.err")" || {
+  echo "FAIL: no db io: ledger line in $WORK/c.err"; exit 1;
+}
+field() { grep -o " $1=[0-9]*" <<< "$2" | head -1 | cut -d= -f2; }
+if [[ "$(field misses "$C_POOL")" != "$(field reads "$C_DBIO")" ||
+      "$(field writebacks "$C_POOL")" != "$(field writes "$C_DBIO")" ]]; then
+  echo "FAIL: C's pool: line does not account for its page traffic:"
+  echo "  $C_POOL"; echo "  $C_DBIO"; exit 1
+fi
+echo "threaded pool: line present and equal to the db io: ledger"
 
 echo "observability smoke OK"

@@ -50,7 +50,9 @@ struct SetmOptions {
   /// SALES is range-partitioned on trans_id into in-process
   /// LocalShardBackends, candidate generation and counting run per
   /// partition on a worker pool, and shard::DistributedMine merges the
-  /// partial C_k counts serially before the global minsupport filter.
+  /// partial C_k counts serially before the global minsupport filter. Each
+  /// partition's sorts spill into a temp pool of its own with
+  /// DatabaseOptions::temp_pool_frames frames, not into Database::temp_pool.
   /// Itemsets, rules and per-iteration stats are identical to the serial
   /// pipeline for any thread count.
   size_t num_threads = 1;

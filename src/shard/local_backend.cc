@@ -6,7 +6,6 @@
 
 #include "common/timer.h"
 #include "core/setm_pipeline.h"
-#include "exec/exec_context.h"
 
 namespace setm::shard {
 
@@ -26,19 +25,8 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows) {
   return Status::OK();
 }
 
-namespace {
-
-ExecContext LocalContext(Database* db) {
-  // Backends run on the coordinator's fan-out pool (or a server job thread):
-  // never re-enter a pool from inside, so sorts get a worker-free context.
-  ExecContext ctx;
-  ctx.temp_pool = db->temp_pool();
-  ctx.sort_memory_bytes = db->options().sort_memory_bytes;
-  ctx.workers = nullptr;
-  return ctx;
-}
-
-}  // namespace
+LocalShardBackend::TempSpace::TempSpace(Database* db)
+    : backend(db->io_stats()), pool(&backend, db->options().temp_pool_frames) {}
 
 LocalShardBackend::LocalShardBackend(Database* db, std::string name,
                                      std::string scratch_prefix)
@@ -69,6 +57,16 @@ Result<std::unique_ptr<Table>> LocalShardBackend::NewRelation(
   return std::unique_ptr<Table>(std::move(t).value());
 }
 
+ExecContext LocalShardBackend::Context() const {
+  // Backends run on the coordinator's fan-out pool (or a server job thread):
+  // never re-enter a pool from inside, so sorts get a worker-free context.
+  ExecContext ctx;
+  ctx.temp_pool = &temp_->pool;
+  ctx.sort_memory_bytes = db_->options().sort_memory_bytes;
+  ctx.workers = nullptr;
+  return ctx;
+}
+
 void LocalShardBackend::AddCount(const std::vector<ItemId>& items,
                                  int64_t count) {
   PatternCount& pc = counts_[ItemsetKey(items)];
@@ -91,6 +89,7 @@ Status LocalShardBackend::BeginRun(const ShardRunOptions& options) {
             [](const ShardRow& a, const ShardRow& b) {
               return a.tid != b.tid ? a.tid < b.tid : a.item < b.item;
             });
+  temp_ = std::make_unique<TempSpace>(db_);
   running_ = true;
   return Status::OK();
 }
@@ -103,7 +102,7 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
   WallTimer timer;
   ShardLocalCounts out;
   counts_.clear();
-  const ExecContext ctx = LocalContext(db_);
+  const ExecContext ctx = Context();
 
   if (k == 1) {
     auto r1_or = NewRelation(prefix_ + "r1", SetmMiner::RkSchema(1));
@@ -209,8 +208,7 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
   // iteration stats line up with the serial pipeline's.
   if (!keys.empty()) {
     SETM_RETURN_IF_ERROR(
-        FilterRkPrimeIntoRk(LocalContext(db_), *rk_prime_, k, probe,
-                            rk.get()));
+        FilterRkPrimeIntoRk(Context(), *rk_prime_, k, probe, rk.get()));
   }
   stats.r_rows = rk->num_rows();
   stats.r_bytes = rk->size_bytes();
@@ -227,6 +225,7 @@ Status LocalShardBackend::EndRun() {
   counts_.clear();
   run_rows_.clear();
   run_rows_.shrink_to_fit();
+  temp_.reset();
   running_ = false;
   return Status::OK();
 }

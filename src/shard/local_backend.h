@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/setm.h"
+#include "exec/exec_context.h"
 #include "shard/shard_backend.h"
 
 namespace setm::shard {
@@ -37,6 +38,14 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 ///
 /// Scratch relations are named "<prefix>r1", "<prefix>r2p", ... — standalone
 /// tables that never enter the catalog; kHeap scratch uses unlogged pages.
+///
+/// Every sort the backend runs spills into its own temp space: a
+/// MemoryBackend recording into `db`'s IoStats ledger, under a BufferPool of
+/// `db->options().temp_pool_frames` frames. Concurrent partitions therefore
+/// never contend on one pool mutex, and each sort sees the same frame count
+/// (hence the same fan-in, runs and merge passes) as a serial sort. The
+/// space lives from BeginRun to EndRun, so a run's spill pages are freed
+/// when it ends.
 class LocalShardBackend : public ShardBackend {
  public:
   /// `db` is borrowed and must outlive the backend.
@@ -58,8 +67,17 @@ class LocalShardBackend : public ShardBackend {
   Result<ShardHealth> Health() override;
 
  private:
+  /// One run's spill storage; the pool flushes into the backend on
+  /// destruction, so the backend is declared first.
+  struct TempSpace {
+    explicit TempSpace(Database* db);
+    MemoryBackend backend;
+    BufferPool pool;
+  };
+
   Result<std::unique_ptr<Table>> NewRelation(const std::string& name,
                                              Schema schema);
+  ExecContext Context() const;
   void AddCount(const std::vector<ItemId>& items, int64_t count);
 
   Database* db_;
@@ -72,6 +90,7 @@ class LocalShardBackend : public ShardBackend {
   std::vector<ShardRow> rows_;      ///< pristine slice when SetRows-sourced
   std::vector<ShardRow> run_rows_;  ///< this run's slice, consumed by k=1
   ShardRunOptions run_;
+  std::unique_ptr<TempSpace> temp_;  ///< live between BeginRun and EndRun
 
   std::unique_ptr<Table> r1_;        ///< R_1 slice (filtered when asked)
   std::unique_ptr<Table> r_prev_;    ///< R_{k-1}; null means use r1

@@ -25,7 +25,9 @@ namespace setm::shard {
 ///
 /// Itemsets and per-iteration |R'_k|, |R_k|, bytes and |C_k| are identical
 /// to the serial pipeline for any thread count (miners_equivalence_test).
-/// The returned MiningResult::io is the database ledger's delta.
+/// The returned MiningResult::io is the database ledger's delta, which
+/// includes every partition's spill I/O (each spills into a temp pool of
+/// its own that records into that ledger).
 Result<MiningResult> MineOnLocalShards(Database* db,
                                        const SetmOptions& setm_options,
                                        std::vector<ShardRow> rows,

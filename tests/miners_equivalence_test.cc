@@ -16,6 +16,7 @@
 #include "core/setm.h"
 #include "core/setm_sql.h"
 #include "datagen/quest_generator.h"
+#include "obs/metrics.h"
 #include "sql/engine.h"
 
 namespace setm {
@@ -157,6 +158,22 @@ INSTANTIATE_TEST_SUITE_P(
 // counting path.)
 // --------------------------------------------------------------------------
 
+/// Per-iteration k, |R'_k|, |R_k|, R_k bytes and |C_k| of `result` equal
+/// those of the serial `expected`.
+void ExpectSameIterations(const MiningResult& expected,
+                          const MiningResult& result) {
+  ASSERT_EQ(result.iterations.size(), expected.iterations.size());
+  for (size_t i = 0; i < expected.iterations.size(); ++i) {
+    const IterationStats& e = expected.iterations[i];
+    const IterationStats& r = result.iterations[i];
+    EXPECT_EQ(r.k, e.k);
+    EXPECT_EQ(r.r_prime_rows, e.r_prime_rows) << "k=" << e.k;
+    EXPECT_EQ(r.r_rows, e.r_rows) << "k=" << e.k;
+    EXPECT_EQ(r.r_bytes, e.r_bytes) << "k=" << e.k;
+    EXPECT_EQ(r.c_size, e.c_size) << "k=" << e.k;
+  }
+}
+
 class PartitionedSetmTest
     : public testing::TestWithParam<
           std::tuple<uint64_t, TableBacking, size_t, CountMethod>> {};
@@ -194,17 +211,7 @@ TEST_P(PartitionedSetmTest, IdenticalToSerialMiner) {
             expected.value().itemsets.num_transactions);
 
   // Per-iteration relation cardinalities are exact sums over partitions.
-  ASSERT_EQ(result.value().iterations.size(),
-            expected.value().iterations.size());
-  for (size_t i = 0; i < expected.value().iterations.size(); ++i) {
-    const IterationStats& e = expected.value().iterations[i];
-    const IterationStats& r = result.value().iterations[i];
-    EXPECT_EQ(r.k, e.k);
-    EXPECT_EQ(r.r_prime_rows, e.r_prime_rows) << "k=" << e.k;
-    EXPECT_EQ(r.r_rows, e.r_rows) << "k=" << e.k;
-    EXPECT_EQ(r.r_bytes, e.r_bytes) << "k=" << e.k;
-    EXPECT_EQ(r.c_size, e.c_size) << "k=" << e.k;
-  }
+  ExpectSameIterations(expected.value(), result.value());
 
   // Identical itemsets must yield identical rules.
   auto expected_rules = GenerateRules(expected.value().itemsets, options,
@@ -222,6 +229,61 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(TableBacking::kMemory,
                                      TableBacking::kHeap),
                      testing::Values(size_t{2}, size_t{4}, size_t{8}),
+                     testing::Values(CountMethod::kSortMerge,
+                                     CountMethod::kHash)));
+
+// A sort budget of 512 bytes and an 8-frame temp pool make every
+// partition's sorts spill and cascade merge passes. Each partition spills
+// into its own temp space, so the database's shared temp pool stays
+// untouched, while the spill I/O still lands in the database's ledger.
+class PartitionedSpillTest
+    : public testing::TestWithParam<std::tuple<TableBacking, CountMethod>> {};
+
+TEST_P(PartitionedSpillTest, SpillingPartitionsMatchSerialMiner) {
+  QuestOptions gen;
+  gen.seed = 505;
+  gen.num_transactions = 100;
+  gen.avg_transaction_size = 5;
+  gen.num_items = 22;
+  gen.num_patterns = 15;
+  TransactionDb txns = QuestGenerator(gen).Generate();
+
+  MiningOptions options;
+  options.min_support = 0.04;
+  DatabaseOptions db_options;
+  db_options.sort_memory_bytes = 512;
+  db_options.temp_pool_frames = 8;
+
+  SetmOptions serial_opts;
+  serial_opts.storage = std::get<0>(GetParam());
+  serial_opts.count_method = std::get<1>(GetParam());
+  Database serial_db(db_options);
+  auto expected =
+      MineVia("setm", &serial_db, &txns, nullptr, options, serial_opts);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  obs::Counter* spilled = obs::MetricsRegistry::Global()->GetCounter(
+      "setm_sort_spilled_runs_total");
+  const uint64_t spilled_before = spilled->Value();
+  SetmOptions parallel_opts = serial_opts;
+  parallel_opts.num_threads = 4;
+  Database db(db_options);
+  auto result = MineVia("setm", &db, &txns, nullptr, options, parallel_opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(spilled->Value(), spilled_before);
+
+  EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
+  ExpectSameIterations(expected.value(), result.value());
+
+  const BufferPool::PoolStats shared = db.temp_pool()->Stats();
+  EXPECT_EQ(shared.hits + shared.misses, 0u);
+  EXPECT_GT(result.value().io.page_writes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackingsAndCountMethods, PartitionedSpillTest,
+    testing::Combine(testing::Values(TableBacking::kMemory,
+                                     TableBacking::kHeap),
                      testing::Values(CountMethod::kSortMerge,
                                      CountMethod::kHash)));
 

@@ -624,26 +624,26 @@ int main(int argc, char** argv) {
     // fair basis for cross-invocation page-count comparisons.
     std::fprintf(stderr, "db io: %s\n",
                  db->io_stats()->ToString().c_str());
-    // Both pools (base + temp) summed, matching the scope of `db io:`.
-    BufferPool::PoolStats pool = db->pool()->Stats();
-    const BufferPool::PoolStats temp = db->temp_pool()->Stats();
-    pool.hits += temp.hits;
-    pool.misses += temp.misses;
-    pool.evictions += temp.evictions;
-    pool.dirty_writebacks += temp.dirty_writebacks;
-    pool.eviction_retries += temp.eviction_retries;
-    const uint64_t fetches = pool.hits + pool.misses;
+    // Every buffer pool of the process — the database's main and temp
+    // pools and each `--threads N` partition's private temp pool — feeds
+    // the process-wide setm_pool_* counters, matching the scope of `db io:`.
+    obs::MetricsRegistry* registry = obs::MetricsRegistry::Global();
+    auto pool_total = [registry](const char* name) {
+      return static_cast<unsigned long long>(
+          registry->GetCounter(name)->Value());
+    };
+    const unsigned long long hits = pool_total("setm_pool_hits_total");
+    const unsigned long long misses = pool_total("setm_pool_misses_total");
     std::fprintf(stderr,
                  "pool: hits=%llu misses=%llu hit_ratio=%.3f evictions=%llu "
                  "writebacks=%llu retries=%llu\n",
-                 static_cast<unsigned long long>(pool.hits),
-                 static_cast<unsigned long long>(pool.misses),
-                 fetches == 0 ? 0.0
-                              : static_cast<double>(pool.hits) /
-                                    static_cast<double>(fetches),
-                 static_cast<unsigned long long>(pool.evictions),
-                 static_cast<unsigned long long>(pool.dirty_writebacks),
-                 static_cast<unsigned long long>(pool.eviction_retries));
+                 hits, misses,
+                 hits + misses == 0 ? 0.0
+                                    : static_cast<double>(hits) /
+                                          static_cast<double>(hits + misses),
+                 pool_total("setm_pool_evictions_total"),
+                 pool_total("setm_pool_dirty_writebacks_total"),
+                 pool_total("setm_pool_eviction_retries_total"));
     const WalStats wal = db->wal_stats();
     std::fprintf(stderr, "wal: records=%llu commits=%llu bytes=%llu "
                          "fsyncs=%llu\n",
