@@ -4,12 +4,13 @@
 // join" reduction parallelizes once SALES is range-partitioned on
 // trans_id).
 //
-// At N > 1 each trans_id partition is an in-process LocalShardBackend and
-// shard::DistributedMine runs the two-phase count over them on a worker
-// pool: per-partition join, local count and R_k filter run in parallel,
-// while the merge of partial C_k counts and the global minsupport filter
-// run serially on the coordinator. Each partition's sorts spill into a temp
-// pool of its own, so partitions share no pool mutex.
+// Each trans_id partition is an in-process LocalShardBackend and
+// shard::DistributedMine runs the two-phase count over them — inline for
+// the one partition of the 1-thread run, on a worker pool above that:
+// per-partition join, local count and R_k filter run in parallel, while the
+// merge of partial C_k counts and the global minsupport filter run serially
+// on the coordinator. Each partition's sorts spill into a temp pool of its
+// own, so partitions share no pool mutex.
 //
 // Expected shape: speedup while per-partition work dominates, flattening as
 // the serial C_k merge grows relative to it — an Amdahl curve — and sys
@@ -18,10 +19,15 @@
 // seconds are printed, never asserted. What is asserted (exit 1 on any
 // mismatch) is the determinism the partitioning promises: at every thread
 // count the itemsets and every iteration's k, |R'_k|, |R_k| and |C_k| equal
-// the 1-thread run's.
+// the 1-thread run's — and that the sorts spilled (a positive
+// setm_sort_spilled_runs_total delta), so the spill path is exercised at
+// every thread count.
 //
-//   scaling_threads            Quest T10.I4.D60K (minutes)
-//   scaling_threads --smoke    Quest T10.I4.D2K, the same checks (seconds)
+//   scaling_threads            Quest T10.I4.D60K, 1 MiB sort budget
+//                              (minutes)
+//   scaling_threads --smoke    Quest T10.I4.D2K with a 256 KiB sort budget,
+//                              so the sorts spill at every thread count;
+//                              the same checks (seconds)
 
 #include <sys/resource.h>
 
@@ -34,6 +40,7 @@
 #include "common/timer.h"
 #include "core/setm.h"
 #include "datagen/quest_generator.h"
+#include "obs/metrics.h"
 
 namespace setm {
 namespace {
@@ -103,19 +110,25 @@ int Run(bool smoke) {
 
   MiningOptions options;
   options.min_support = 0.01;
+  DatabaseOptions db_options;
+  if (smoke) db_options.sort_memory_bytes = 256 << 10;
+  obs::Counter* spilled = obs::MetricsRegistry::Global()->GetCounter(
+      "setm_sort_spilled_runs_total");
 
-  std::printf("dataset: %s\n\n", QuestDatasetName(gen).c_str());
-  std::printf("%-8s %12s %10s %10s %10s %12s %12s %10s\n", "threads",
+  std::printf("dataset: %s, sort budget %zu bytes\n\n",
+              QuestDatasetName(gen).c_str(), db_options.sort_memory_bytes);
+  std::printf("%-8s %12s %10s %10s %10s %12s %12s %10s %10s\n", "threads",
               "time(s)", "speedup", "user(s)", "sys(s)", "patterns",
-              "iterations", "match");
+              "iterations", "spills", "match");
 
   double base_seconds = 0.0;
   MiningResult base;
   for (size_t threads : {1, 2, 4, 8}) {
-    Database db;
+    Database db(db_options);
     SetmOptions setm_options;
     setm_options.num_threads = threads;
     SetmMiner miner(&db, setm_options);
+    const uint64_t spilled_before = spilled->Value();
     const CpuTimes cpu_before = ProcessCpu();
     WallTimer timer;
     auto result = miner.Mine(txns, options);
@@ -136,13 +149,20 @@ int Run(bool smoke) {
       match &= result.value().itemsets == base.itemsets;
     }
     const MiningResult& shown = threads == 1 ? base : result.value();
-    std::printf("%-8zu %12.3f %9.2fx %10.3f %10.3f %12zu %12zu %10s\n",
+    const uint64_t spills = spilled->Value() - spilled_before;
+    std::printf("%-8zu %12.3f %9.2fx %10.3f %10.3f %12zu %12zu %10llu %10s\n",
                 threads, seconds, base_seconds / seconds,
                 cpu_after.user - cpu_before.user,
                 cpu_after.sys - cpu_before.sys, shown.itemsets.TotalPatterns(),
-                shown.iterations.size(), match ? "yes" : "NO");
+                shown.iterations.size(),
+                static_cast<unsigned long long>(spills), match ? "yes" : "NO");
     if (!match) {
       std::fprintf(stderr, "thread count %zu changed the result!\n", threads);
+      return 1;
+    }
+    if (spills == 0) {
+      std::fprintf(stderr, "thread count %zu spilled no sort run\n",
+                   threads);
       return 1;
     }
   }

@@ -35,26 +35,25 @@ struct SetmOptions {
   /// kMemory mirrors the paper's Section 6 implementation, which "ran in
   /// main memory" for the timing experiments.
   TableBacking storage = TableBacking::kMemory;
-  /// Physical strategy for the C_k aggregation. The serial pipeline counts
-  /// the materialized R'_k through a sort+stream or hash aggregation; with
-  /// num_threads > 1 every partition's LocalShardBackend applies the same
-  /// choice to its local counts — kSortMerge sorts the partition's R'_k
-  /// slice before counting, reproducing the sort-based I/O profile per
-  /// partition. The coordinator's merge of partial counts is always
-  /// hash-based (partitions must combine before the global minsupport
-  /// filter), so only the partition-local aggregation differs between the
-  /// methods; results are identical either way.
+  /// Physical strategy for the C_k aggregation. Every SETM partition's
+  /// LocalShardBackend applies it to its local counts — kSortMerge sorts the
+  /// partition's R'_k slice before counting, reproducing the sort-based I/O
+  /// profile per partition. The coordinator's merge of partial counts is
+  /// always hash-based (partitions must combine before the global
+  /// minsupport filter), so only the partition-local aggregation differs
+  /// between the methods; results are identical either way.
   CountMethod count_method = CountMethod::kSortMerge;
-  /// Degree of partition parallelism. 1 runs the classic single-threaded
-  /// pipeline; > 1 runs shard::MineOnLocalShards (shard/sharded_setm.h):
-  /// SALES is range-partitioned on trans_id into in-process
-  /// LocalShardBackends, candidate generation and counting run per
-  /// partition on a worker pool, and shard::DistributedMine merges the
-  /// partial C_k counts serially before the global minsupport filter. Each
-  /// partition's sorts spill into a temp pool of its own with
+  /// Degree of partition parallelism. Every SETM mine runs
+  /// shard::MineOnLocalShards (shard/sharded_setm.h): SALES is
+  /// range-partitioned on trans_id into this many in-process
+  /// LocalShardBackends (one when 0 or 1), candidate generation and
+  /// counting run per partition, and shard::DistributedMine merges the
+  /// partial C_k counts serially before the global minsupport filter. One
+  /// partition runs inline on the calling thread; more run on a worker
+  /// pool. Each partition's sorts spill into a temp pool of its own with
   /// DatabaseOptions::temp_pool_frames frames, not into Database::temp_pool.
-  /// Itemsets, rules and per-iteration stats are identical to the serial
-  /// pipeline for any thread count.
+  /// Itemsets, rules and per-iteration stats are identical for any thread
+  /// count.
   size_t num_threads = 1;
 };
 

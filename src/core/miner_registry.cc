@@ -206,8 +206,8 @@ class RegistryState {
     AddBuiltin<SetmAdapter>(MinerInfo{
         "setm",
         "Algorithm SETM (Figure 4): external sort + merge-scan join "
-        "pipeline; num_threads > 1 mines trans_id partitions through the "
-        "two-phase shard coordinator",
+        "pipeline over num_threads trans_id partitions (one by default), "
+        "mined through the two-phase shard coordinator",
         /*honors_storage=*/true, /*honors_count_method=*/true,
         /*honors_threads=*/true});
     AddBuiltin<SetmSqlAdapter>(MinerInfo{

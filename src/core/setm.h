@@ -1,8 +1,6 @@
 #ifndef SETM_CORE_SETM_H_
 #define SETM_CORE_SETM_H_
 
-#include <memory>
-
 #include "core/miner.h"
 #include "core/types.h"
 #include "relational/database.h"
@@ -26,6 +24,12 @@ namespace setm {
 ///      look-ups on relation C_k"), sorted back on (trans_id, items).
 /// The loop ends when R_k (equivalently C_k) is empty.
 ///
+/// There is one executor: every mine runs through shard::MineOnLocalShards
+/// (shard/sharded_setm.h), which cuts SALES into SetmOptions::num_threads
+/// trans_id partitions. The default of one thread is the one-partition run,
+/// mined inline on the calling thread. Every partition's sorts spill into a
+/// run-scoped temp space that is freed when the mine ends.
+///
 ///     Database db;
 ///     SetmMiner miner(&db);
 ///     MiningResult result = miner.Mine(transactions, options).value();
@@ -34,8 +38,8 @@ class SetmMiner {
   explicit SetmMiner(Database* db, SetmOptions setm_options = {})
       : db_(db), setm_options_(setm_options) {}
 
-  /// Mines a transaction database. Loads it into a SALES-shaped relation
-  /// first (items within a transaction must be sorted and unique).
+  /// Mines a transaction database (items within a transaction must be
+  /// sorted and unique).
   Result<MiningResult> Mine(const TransactionDb& transactions,
                             const MiningOptions& options);
 
@@ -55,9 +59,6 @@ class SetmMiner {
   static std::vector<size_t> TidItemColumns(size_t k);
 
  private:
-  Result<std::unique_ptr<Table>> NewRelation(const std::string& name,
-                                             Schema schema);
-
   Database* db_;
   SetmOptions setm_options_;
 };

@@ -1,10 +1,10 @@
 #include "core/setm_pipeline.h"
 
+#include <memory>
 #include <utility>
 
 #include "exec/expression.h"
 #include "exec/external_sort.h"
-#include "exec/hash_operators.h"
 #include "exec/operators.h"
 
 namespace setm {
@@ -85,27 +85,16 @@ Status FilterR1Into(const Table& r1, const CkProbe& keep, Table* out) {
   return Status::OK();
 }
 
-std::unique_ptr<TupleIterator> MakeGroupCount(
-    ExecContext ctx, std::unique_ptr<TupleIterator> input,
-    std::vector<size_t> group_columns, int64_t min_count, CountMethod method) {
-  if (method == CountMethod::kHash) {
-    return std::make_unique<HashGroupCountIterator>(
-        std::move(input), std::move(group_columns), min_count);
-  }
-  auto sorted = std::make_unique<SortIterator>(
-      ctx, std::move(input), TupleComparator(group_columns));
-  return std::make_unique<SortedGroupCountIterator>(
-      std::move(sorted), std::move(group_columns), min_count);
-}
-
 Status CountInto(ExecContext ctx, const Table& relation, size_t k,
-                 int64_t min_count, CountMethod method,
                  const GroupSink& sink) {
-  auto counts = MakeGroupCount(ctx, relation.Scan(), ItemColumns(k),
-                               min_count, method);
+  const std::vector<size_t> item_cols = ItemColumns(k);
+  SortedGroupCountIterator counts(
+      std::make_unique<SortIterator>(ctx, relation.Scan(),
+                                     TupleComparator(item_cols)),
+      item_cols, /*min_count=*/1);
   Tuple row;
   while (true) {
-    auto more = counts->Next(&row);
+    auto more = counts.Next(&row);
     if (!more.ok()) return more.status();
     if (!more.value()) break;
     std::vector<ItemId> items;

@@ -2,7 +2,6 @@
 #define SETM_CORE_SETM_PIPELINE_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,15 +10,13 @@
 
 namespace setm {
 
-// The join/filter bodies of Algorithm SETM, shared verbatim by the serial
-// executor (setm.cc) and the shard backend (shard/local_backend.cc), which
-// runs every partition of `setm --threads N` and every LCOUNT/MERGE a
-// remote coordinator sends. Each helper is parameterized by a sink or
-// membership probe, which is the only thing the two legitimately differ
-// in: the serial pipeline aggregates into one global C_k, a shard
-// aggregates local counts that merge later. Everything else — the residual
-// predicate, the column indices, the projection, the (trans_id, items)
-// sort order — exists once, so they cannot drift apart by construction.
+// The join/count/filter bodies of Algorithm SETM, run by the one SETM
+// executor: shard::LocalShardBackend (shard/local_backend.cc), which mines
+// every partition of SetmMiner (one partition by default) and every
+// LCOUNT/MERGE a remote coordinator sends. Each helper is parameterized by
+// a sink or membership probe, so the backend decides where partial counts
+// go and which C_k a filter probes; the residual predicate, the column
+// indices, the projection and the (trans_id, items) sort order live here.
 
 /// Receives the item vector of each candidate row the R'_k join produces.
 /// Pass an empty function when the caller counts some other way.
@@ -50,20 +47,12 @@ Status FilterRkPrimeIntoRk(ExecContext ctx, const Table& rk_prime, size_t k,
 /// passes `keep` into `out` (order preserved, so `out` stays sorted).
 Status FilterR1Into(const Table& r1, const CkProbe& keep, Table* out);
 
-/// The C_k aggregation pipeline under either physical strategy. Both emit
-/// identical rows (group columns + count, ordered by the group columns).
-std::unique_ptr<TupleIterator> MakeGroupCount(
-    ExecContext ctx, std::unique_ptr<TupleIterator> input,
-    std::vector<size_t> group_columns, int64_t min_count, CountMethod method);
-
-/// Streams MakeGroupCount over `relation`'s item columns (an R'_k-shaped
-/// relation of width k+1) into `sink`, keeping groups with count >=
-/// `min_count`. The serial executor calls it with the global minsupport;
-/// a partition calls it with min_count = 1 (support is a global property,
-/// so local counts must all survive to the merge) — which is exactly how
-/// CountMethod::kSortMerge is honored per partition.
+/// The paper's C_k count: sorts `relation` (an R'_k-shaped relation of
+/// width k+1) on its item columns and streams every group, with its count,
+/// into `sink`. No group is dropped: support is a global property, so a
+/// partition's local counts must all survive to the coordinator's merge.
 Status CountInto(ExecContext ctx, const Table& relation, size_t k,
-                 int64_t min_count, CountMethod method, const GroupSink& sink);
+                 const GroupSink& sink);
 
 }  // namespace setm
 

@@ -25,8 +25,8 @@ struct DatabaseOptions {
   /// Buffer pool frames for base tables (default 256 frames = 1 MiB).
   size_t pool_frames = 256;
   /// Buffer pool frames for temporary data (sort runs): the size of
-  /// temp_pool(), and of the private temp pool each partition of a
-  /// `num_threads > 1` mine (each shard::LocalShardBackend) spills into.
+  /// temp_pool(), and of the private temp pool each partition of a SETM
+  /// mine (each shard::LocalShardBackend) spills into.
   size_t temp_pool_frames = 64;
   /// Memory budget for in-memory sort runs, in bytes. The external sort
   /// spills once a run exceeds this budget.

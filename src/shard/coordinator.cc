@@ -266,8 +266,8 @@ Result<MiningResult> DistributedMine(const std::vector<ShardBackend*>& shards,
     MergeCounts(&states, minsup, &stats.c_size, &result.itemsets, &ck);
 
     // Phase 2 always runs, C_k empty or not: every shard materializes its
-    // (possibly empty) R_k, exactly like the serial pipeline, so the
-    // iteration stats and observer callbacks stay aligned.
+    // (possibly empty) R_k, so the last iteration reports |R_k| = 0 and
+    // reaches the observer like every other.
     ShardFilterStats total;
     s = FilterPhase(coord.pool, &states, k, &ck, &total);
     if (!s.ok()) return fail(s);

@@ -58,8 +58,9 @@ Result<std::unique_ptr<Table>> LocalShardBackend::NewRelation(
 }
 
 ExecContext LocalShardBackend::Context() const {
-  // Backends run on the coordinator's fan-out pool (or a server job thread):
-  // never re-enter a pool from inside, so sorts get a worker-free context.
+  // Backends run on the coordinator's fan-out pool, on the caller's thread
+  // (a one-partition mine) or on a server job thread: never re-enter a pool
+  // from inside, so sorts get a worker-free context.
   ExecContext ctx;
   ctx.temp_pool = &temp_->pool;
   ctx.sort_memory_bytes = db_->options().sort_memory_bytes;
@@ -84,7 +85,7 @@ Status LocalShardBackend::BeginRun(const ShardRunOptions& options) {
   } else {
     run_rows_ = rows_;
   }
-  // The same (trans_id, item) order the serial pipeline establishes for R_1.
+  // R_1 is kept in (trans_id, item) order, the order the R'_k join needs.
   std::sort(run_rows_.begin(), run_rows_.end(),
             [](const ShardRow& a, const ShardRow& b) {
               return a.tid != b.tid ? a.tid < b.tid : a.item < b.item;
@@ -103,6 +104,10 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
   ShardLocalCounts out;
   counts_.clear();
   const ExecContext ctx = Context();
+  const GroupSink add_counts = [this](std::vector<ItemId> items,
+                                      int64_t count) {
+    AddCount(items, count);
+  };
 
   if (k == 1) {
     auto r1_or = NewRelation(prefix_ + "r1", SetmMiner::RkSchema(1));
@@ -123,11 +128,7 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
     run_rows_.clear();
     run_rows_.shrink_to_fit();
     if (run_.count_method == CountMethod::kSortMerge) {
-      SETM_RETURN_IF_ERROR(CountInto(
-          ctx, *r1_, 1, /*min_count=*/1, CountMethod::kSortMerge,
-          [this](std::vector<ItemId> items, int64_t count) {
-            AddCount(items, count);
-          }));
+      SETM_RETURN_IF_ERROR(CountInto(ctx, *r1_, 1, add_counts));
     }
     out.transactions = transactions;
     out.r_prime_rows = r1_->num_rows();
@@ -149,11 +150,7 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
     SETM_RETURN_IF_ERROR(JoinIntoRkPrime(*left, *r1_, k, rk_prime_.get(),
                                          sink));
     if (run_.count_method == CountMethod::kSortMerge) {
-      SETM_RETURN_IF_ERROR(CountInto(
-          ctx, *rk_prime_, k, /*min_count=*/1, CountMethod::kSortMerge,
-          [this](std::vector<ItemId> items, int64_t count) {
-            AddCount(items, count);
-          }));
+      SETM_RETURN_IF_ERROR(CountInto(ctx, *rk_prime_, k, add_counts));
     }
     out.r_prime_rows = rk_prime_->num_rows();
   }
@@ -205,7 +202,7 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
   if (!rk_or.ok()) return rk_or.status();
   std::unique_ptr<Table> rk = std::move(rk_or).value();
   // An empty global C_k still creates (and reports) an empty R_k, so the
-  // iteration stats line up with the serial pipeline's.
+  // last iteration's stats carry |R_k| = 0 like Figure 4's loop.
   if (!keys.empty()) {
     SETM_RETURN_IF_ERROR(
         FilterRkPrimeIntoRk(Context(), *rk_prime_, k, probe, rk.get()));

@@ -22,15 +22,18 @@ struct ShardRow {
 /// through one scan; InvalidArgument unless the schema has two columns.
 Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 
-/// The in-process shard: runs the SETM pipeline bodies (the same
-/// JoinIntoRkPrime / FilterRkPrimeIntoRk / CountInto the serial pipeline
-/// uses) over one SALES slice, reporting full local counts with
-/// min_count = 1. This class is both the coordinator's local execution path
-/// and the server-side implementation of LCOUNT/MERGE, so local and remote
-/// shards cannot drift apart.
+/// The in-process shard, and the one SETM executor: runs the SETM pipeline
+/// bodies (JoinIntoRkPrime / CountInto / FilterRkPrimeIntoRk of
+/// core/setm_pipeline.h) over one SALES slice, reporting full local counts
+/// (no group dropped before the merge). Every SetmMiner mine — one
+/// partition by default, one per thread with num_threads > 1 — file-shard
+/// members and the server-side LCOUNT/MERGE all run on this class, so local
+/// and remote shards cannot drift apart. Its calls run on whatever thread
+/// the coordinator makes them from: a fan-out pool worker, the caller's own
+/// thread (a one-partition mine) or a server job thread.
 ///
 /// The slice comes from one of two sources, chosen before BeginRun:
-///   - SetRows(rows): a fixed in-memory slice (`setm --threads N` through
+///   - SetRows(rows): a fixed in-memory slice (SetmMiner through
 ///     MineOnLocalShards, and tests, use this).
 ///   - BindTable(name): re-extracted from `db`'s catalog at every BeginRun,
 ///     so a long-lived backend sees rows appended between runs (the server
@@ -43,9 +46,9 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 /// MemoryBackend recording into `db`'s IoStats ledger, under a BufferPool of
 /// `db->options().temp_pool_frames` frames. Concurrent partitions therefore
 /// never contend on one pool mutex, and each sort sees the same frame count
-/// (hence the same fan-in, runs and merge passes) as a serial sort. The
-/// space lives from BeginRun to EndRun, so a run's spill pages are freed
-/// when it ends.
+/// (hence the same fan-in) whatever the partition count. The space lives
+/// from BeginRun to EndRun, so a run's spill pages are freed when it ends;
+/// Database::temp_pool is never touched.
 class LocalShardBackend : public ShardBackend {
  public:
   /// `db` is borrowed and must outlive the backend.

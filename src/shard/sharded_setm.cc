@@ -58,9 +58,10 @@ Result<MiningResult> MineOnLocalShards(Database* db,
   CoordinatorOptions coord;
   coord.run.storage = setm_options.storage;
   coord.run.count_method = setm_options.count_method;
-  coord.pool = db->worker_pool();
+  // One partition runs inline on the calling thread.
+  coord.pool = num_shards > 1 ? db->worker_pool() : nullptr;
   std::unique_ptr<WorkerPool> owned_pool;
-  if (coord.pool == nullptr && setm_options.num_threads > 1) {
+  if (coord.pool == nullptr && num_shards > 1) {
     // No point spawning more workers than shards to occupy them.
     owned_pool = std::make_unique<WorkerPool>(
         std::min(setm_options.num_threads, num_shards));

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/miner_registry.h"
@@ -150,16 +152,40 @@ INSTANTIATE_TEST_SUITE_P(
                     Case{15, 0.04, 200, 5, 18}));
 
 // --------------------------------------------------------------------------
-// Partitioned SETM (num_threads > 1, trans_id partitions mined as in-process
-// shards through the two-phase coordinator): any thread count, either
-// storage backing and either count method must reproduce the serial miner
-// bit-for-bit — same itemsets, same rules, same per-iteration relation
-// sizes. (kSortMerge at num_threads > 1 is the per-partition sort-based
-// counting path.)
+// Partitioned SETM (trans_id partitions mined as in-process shards through
+// the two-phase coordinator; one partition at num_threads = 1): any thread
+// count, either storage backing and either count method must reproduce the
+// literal Section 4.1 SQL miner bit-for-bit — same itemsets, same rules,
+// same per-iteration relation sizes. setm-sql shares no executor code with
+// setm, so it is an independent reference for every thread count.
+// (kSortMerge is the per-partition sort-based counting path.)
 // --------------------------------------------------------------------------
 
+/// setm-sql's result on the workload `seed` names, at `backing`: mined on
+/// the first call for each (seed, backing) and reused after, so a sweep
+/// over threads and count methods pays for one SQL mine per pair.
+const MiningResult& SqlReference(uint64_t seed, TableBacking backing,
+                                 const TransactionDb& txns,
+                                 const MiningOptions& options) {
+  static auto* cache =
+      new std::map<std::pair<uint64_t, TableBacking>, MiningResult>();
+  auto it = cache->find({seed, backing});
+  if (it == cache->end()) {
+    SetmOptions knobs;
+    knobs.storage = backing;
+    Database db;
+    auto result = MineVia("setm-sql", &db, &txns, nullptr, options, knobs);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    it = cache->emplace(std::make_pair(seed, backing),
+                        result.ok() ? std::move(result).value()
+                                    : MiningResult{})
+             .first;
+  }
+  return it->second;
+}
+
 /// Per-iteration k, |R'_k|, |R_k|, R_k bytes and |C_k| of `result` equal
-/// those of the serial `expected`.
+/// those of the reference `expected`.
 void ExpectSameIterations(const MiningResult& expected,
                           const MiningResult& result) {
   ASSERT_EQ(result.iterations.size(), expected.iterations.size());
@@ -178,7 +204,7 @@ class PartitionedSetmTest
     : public testing::TestWithParam<
           std::tuple<uint64_t, TableBacking, size_t, CountMethod>> {};
 
-TEST_P(PartitionedSetmTest, IdenticalToSerialMiner) {
+TEST_P(PartitionedSetmTest, IdenticalToSqlMiner) {
   QuestOptions gen;
   gen.seed = std::get<0>(GetParam());
   gen.num_transactions = 250;
@@ -190,15 +216,13 @@ TEST_P(PartitionedSetmTest, IdenticalToSerialMiner) {
   MiningOptions options;
   options.min_support = 0.04;
 
-  SetmOptions serial_opts;
-  serial_opts.storage = std::get<1>(GetParam());
-  serial_opts.count_method = std::get<3>(GetParam());
-  Database serial_db;
-  auto expected =
-      MineVia("setm", &serial_db, &txns, nullptr, options, serial_opts);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const MiningResult& expected =
+      SqlReference(gen.seed, std::get<1>(GetParam()), txns, options);
+  ASSERT_FALSE(expected.iterations.empty());
 
-  SetmOptions parallel_opts = serial_opts;
+  SetmOptions parallel_opts;
+  parallel_opts.storage = std::get<1>(GetParam());
+  parallel_opts.count_method = std::get<3>(GetParam());
   parallel_opts.num_threads = std::get<2>(GetParam());
   Database parallel_db;
   // Through "setm", so the num_threads routing knob is covered too.
@@ -206,15 +230,15 @@ TEST_P(PartitionedSetmTest, IdenticalToSerialMiner) {
       MineVia("setm", &parallel_db, &txns, nullptr, options, parallel_opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
+  EXPECT_TRUE(result.value().itemsets == expected.itemsets);
   EXPECT_EQ(result.value().itemsets.num_transactions,
-            expected.value().itemsets.num_transactions);
+            expected.itemsets.num_transactions);
 
   // Per-iteration relation cardinalities are exact sums over partitions.
-  ExpectSameIterations(expected.value(), result.value());
+  ExpectSameIterations(expected, result.value());
 
   // Identical itemsets must yield identical rules.
-  auto expected_rules = GenerateRules(expected.value().itemsets, options,
+  auto expected_rules = GenerateRules(expected.itemsets, options,
                                       RuleMode::kSingleConsequent)
                             .value();
   auto rules = GenerateRules(result.value().itemsets, options,
@@ -228,18 +252,21 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(uint64_t{101}, uint64_t{303}),
                      testing::Values(TableBacking::kMemory,
                                      TableBacking::kHeap),
-                     testing::Values(size_t{2}, size_t{4}, size_t{8}),
+                     testing::Values(size_t{1}, size_t{2}, size_t{4},
+                                     size_t{8}),
                      testing::Values(CountMethod::kSortMerge,
                                      CountMethod::kHash)));
 
 // A sort budget of 512 bytes and an 8-frame temp pool make every
-// partition's sorts spill and cascade merge passes. Each partition spills
-// into its own temp space, so the database's shared temp pool stays
-// untouched, while the spill I/O still lands in the database's ledger.
+// partition's sorts spill and cascade merge passes — the one partition of a
+// serial mine's included. Each partition spills into its own temp space, so
+// the database's shared temp pool stays untouched, while the spill I/O
+// still lands in the database's ledger.
 class PartitionedSpillTest
-    : public testing::TestWithParam<std::tuple<TableBacking, CountMethod>> {};
+    : public testing::TestWithParam<
+          std::tuple<TableBacking, size_t, CountMethod>> {};
 
-TEST_P(PartitionedSpillTest, SpillingPartitionsMatchSerialMiner) {
+TEST_P(PartitionedSpillTest, SpillingPartitionsMatchSqlMiner) {
   QuestOptions gen;
   gen.seed = 505;
   gen.num_transactions = 100;
@@ -254,26 +281,24 @@ TEST_P(PartitionedSpillTest, SpillingPartitionsMatchSerialMiner) {
   db_options.sort_memory_bytes = 512;
   db_options.temp_pool_frames = 8;
 
-  SetmOptions serial_opts;
-  serial_opts.storage = std::get<0>(GetParam());
-  serial_opts.count_method = std::get<1>(GetParam());
-  Database serial_db(db_options);
-  auto expected =
-      MineVia("setm", &serial_db, &txns, nullptr, options, serial_opts);
-  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  const MiningResult& expected =
+      SqlReference(gen.seed, std::get<0>(GetParam()), txns, options);
+  ASSERT_FALSE(expected.iterations.empty());
 
   obs::Counter* spilled = obs::MetricsRegistry::Global()->GetCounter(
       "setm_sort_spilled_runs_total");
   const uint64_t spilled_before = spilled->Value();
-  SetmOptions parallel_opts = serial_opts;
-  parallel_opts.num_threads = 4;
+  SetmOptions parallel_opts;
+  parallel_opts.storage = std::get<0>(GetParam());
+  parallel_opts.num_threads = std::get<1>(GetParam());
+  parallel_opts.count_method = std::get<2>(GetParam());
   Database db(db_options);
   auto result = MineVia("setm", &db, &txns, nullptr, options, parallel_opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(spilled->Value(), spilled_before);
 
-  EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
-  ExpectSameIterations(expected.value(), result.value());
+  EXPECT_TRUE(result.value().itemsets == expected.itemsets);
+  ExpectSameIterations(expected, result.value());
 
   const BufferPool::PoolStats shared = db.temp_pool()->Stats();
   EXPECT_EQ(shared.hits + shared.misses, 0u);
@@ -281,9 +306,10 @@ TEST_P(PartitionedSpillTest, SpillingPartitionsMatchSerialMiner) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    BackingsAndCountMethods, PartitionedSpillTest,
+    BackingsThreadsAndCountMethods, PartitionedSpillTest,
     testing::Combine(testing::Values(TableBacking::kMemory,
                                      TableBacking::kHeap),
+                     testing::Values(size_t{1}, size_t{4}),
                      testing::Values(CountMethod::kSortMerge,
                                      CountMethod::kHash)));
 
