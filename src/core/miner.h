@@ -50,8 +50,8 @@ struct SetmOptions {
   /// counting run per partition, and shard::DistributedMine merges the
   /// partial C_k counts serially before the global minsupport filter. One
   /// partition runs inline on the calling thread; more run on a worker
-  /// pool. Each partition's sorts spill into a temp pool of its own with
-  /// DatabaseOptions::temp_pool_frames frames, not into Database::temp_pool.
+  /// pool. Each partition's sorts spill into a temp space of its own with
+  /// DatabaseOptions::temp_pool_frames frames, freed when its run ends.
   /// Itemsets, rules and per-iteration stats are identical for any thread
   /// count.
   size_t num_threads = 1;

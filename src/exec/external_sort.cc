@@ -63,57 +63,6 @@ class RunReader {
   const Schema* schema_;
 };
 
-/// K-way merge over runs. Stability: ties broken by run index, and runs are
-/// created in arrival order, so equal keys keep their original order.
-class MergeIterator : public TupleIterator {
- public:
-  MergeIterator(std::vector<RunReader> readers, const Schema* schema,
-                const TupleComparator* cmp)
-      : readers_(std::move(readers)), schema_(schema), cmp_(cmp) {
-    heads_.resize(readers_.size());
-    live_.resize(readers_.size(), false);
-  }
-
-  Status Prime() {
-    for (size_t i = 0; i < readers_.size(); ++i) {
-      SETM_RETURN_IF_ERROR(Advance(i));
-    }
-    return Status::OK();
-  }
-
-  Result<bool> Next(Tuple* out) override {
-    // Linear scan over run heads. Fan-in is <= 64 and comparisons are
-    // cheap relative to deserialization, so a loser tree is not needed.
-    int best = -1;
-    for (size_t i = 0; i < readers_.size(); ++i) {
-      if (!live_[i]) continue;
-      if (best < 0 || cmp_->Compare(heads_[i], heads_[best]) < 0) {
-        best = static_cast<int>(i);
-      }
-    }
-    if (best < 0) return false;
-    *out = std::move(heads_[best]);
-    SETM_RETURN_IF_ERROR(Advance(static_cast<size_t>(best)));
-    return true;
-  }
-
-  const Schema& schema() const override { return *schema_; }
-
- private:
-  Status Advance(size_t i) {
-    auto more = readers_[i].Next(&heads_[i]);
-    if (!more.ok()) return more.status();
-    live_[i] = more.value();
-    return Status::OK();
-  }
-
-  std::vector<RunReader> readers_;
-  const Schema* schema_;
-  const TupleComparator* cmp_;
-  std::vector<Tuple> heads_;
-  std::vector<bool> live_;
-};
-
 /// Iterator over an owned, already-sorted vector (in-memory fast path).
 class VectorIterator : public TupleIterator {
  public:
@@ -133,45 +82,78 @@ class VectorIterator : public TupleIterator {
   size_t pos_ = 0;
 };
 
-/// Owns the merge state (runs + comparator) for the streaming final merge.
-class OwningMergeIterator : public TupleIterator {
+/// K-way merge over owned runs: the streaming final merge and the body of
+/// each cascaded merge step. Stability: ties broken by run index, and runs
+/// are created in arrival order, so equal keys keep their original order.
+/// It shares the temp space the runs live in, so the stream can outlive the
+/// sort and every context that created it.
+class MergeIterator : public TupleIterator {
  public:
-  OwningMergeIterator(std::vector<TableHeap> runs, Schema schema,
-                      TupleComparator cmp)
-      : runs_(std::move(runs)),
+  MergeIterator(std::shared_ptr<BufferPool> temp_pool,
+                std::vector<TableHeap> runs, Schema schema, TupleComparator cmp)
+      : temp_pool_(std::move(temp_pool)),
+        runs_(std::move(runs)),
         schema_(std::move(schema)),
-        cmp_(std::move(cmp)) {
-    std::vector<RunReader> readers;
-    readers.reserve(runs_.size());
-    for (const TableHeap& run : runs_) {
-      readers.emplace_back(&run, &schema_);
-    }
-    merge_ = std::make_unique<MergeIterator>(std::move(readers), &schema_,
-                                             &cmp_);
+        cmp_(std::move(cmp)),
+        heads_(runs_.size()),
+        live_(runs_.size(), false) {
+    readers_.reserve(runs_.size());
+    for (const TableHeap& run : runs_) readers_.emplace_back(&run, &schema_);
   }
 
-  Status Prime() { return merge_->Prime(); }
+  Status Prime() {
+    for (size_t i = 0; i < readers_.size(); ++i) {
+      SETM_RETURN_IF_ERROR(Advance(i));
+    }
+    return Status::OK();
+  }
 
-  Result<bool> Next(Tuple* out) override { return merge_->Next(out); }
+  Result<bool> Next(Tuple* out) override {
+    // Linear scan over run heads. Fan-in is <= 64 and comparisons are
+    // cheap relative to deserialization, so a loser tree is not needed.
+    int best = -1;
+    for (size_t i = 0; i < readers_.size(); ++i) {
+      if (!live_[i]) continue;
+      if (best < 0 || cmp_.Compare(heads_[i], heads_[best]) < 0) {
+        best = static_cast<int>(i);
+      }
+    }
+    if (best < 0) return false;
+    *out = std::move(heads_[best]);
+    SETM_RETURN_IF_ERROR(Advance(static_cast<size_t>(best)));
+    return true;
+  }
+
   const Schema& schema() const override { return schema_; }
 
  private:
+  Status Advance(size_t i) {
+    auto more = readers_[i].Next(&heads_[i]);
+    if (!more.ok()) return more.status();
+    live_[i] = more.value();
+    return Status::OK();
+  }
+
+  std::shared_ptr<BufferPool> temp_pool_;  ///< declared first: dies last
   std::vector<TableHeap> runs_;
   Schema schema_;
   TupleComparator cmp_;
-  std::unique_ptr<MergeIterator> merge_;
+  std::vector<RunReader> readers_;  ///< point into runs_ and schema_
+  std::vector<Tuple> heads_;
+  std::vector<bool> live_;
 };
 
 /// Merges one group of runs into a single fresh run in temp storage — the
 /// body of one cascaded-merge step. Self-contained (pool, schema and
 /// comparator are read-only here) so independent groups of a pass can run
 /// concurrently on the worker pool.
-Result<TableHeap> MergeRunGroup(BufferPool* temp_pool, const Schema& schema,
+Result<TableHeap> MergeRunGroup(const std::shared_ptr<BufferPool>& temp_pool,
+                                const Schema& schema,
                                 const TupleComparator& cmp,
                                 std::vector<TableHeap> group) {
-  OwningMergeIterator merge(std::move(group), schema, cmp);
+  MergeIterator merge(temp_pool, std::move(group), schema, cmp);
   SETM_RETURN_IF_ERROR(merge.Prime());
-  auto out_or = TableHeap::Create(temp_pool);
+  auto out_or = TableHeap::Create(temp_pool.get());
   if (!out_or.ok()) return out_or.status();
   TableHeap out = std::move(out_or).value();
   Tuple row;
@@ -222,7 +204,7 @@ Status ExternalSort::SpillRun() {
     auto rows = std::make_shared<std::vector<Tuple>>(std::move(buffer_));
     spill_group_.Submit([this, slot, rows] {
       std::stable_sort(rows->begin(), rows->end(), cmp_);
-      auto heap_or = TableHeap::Create(ctx_.temp_pool);
+      auto heap_or = TableHeap::Create(ctx_.temp_pool.get());
       if (!heap_or.ok()) return heap_or.status();
       auto heap = std::make_unique<TableHeap>(std::move(heap_or).value());
       std::string record;
@@ -241,7 +223,7 @@ Status ExternalSort::SpillRun() {
   }
 
   std::stable_sort(buffer_.begin(), buffer_.end(), cmp_);
-  auto heap_or = TableHeap::Create(ctx_.temp_pool);
+  auto heap_or = TableHeap::Create(ctx_.temp_pool.get());
   if (!heap_or.ok()) return heap_or.status();
   TableHeap heap = std::move(heap_or).value();
   std::string record;
@@ -349,8 +331,8 @@ Result<std::unique_ptr<TupleIterator>> ExternalSort::Finish() {
     runs_ = std::move(collected);
   }
 
-  auto merge = std::make_unique<OwningMergeIterator>(std::move(runs_), schema_,
-                                                     cmp_);
+  auto merge = std::make_unique<MergeIterator>(ctx_.temp_pool,
+                                               std::move(runs_), schema_, cmp_);
   SETM_RETURN_IF_ERROR(merge->Prime());
   FlushSortMetrics(stats_);
   return std::unique_ptr<TupleIterator>(std::move(merge));

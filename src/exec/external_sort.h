@@ -25,10 +25,12 @@ struct SortStats {
 /// SETM is made of ("basic steps are sorting and merge scan join").
 ///
 /// Rows are buffered until the configured memory budget is reached, then
-/// stable-sorted and spilled as a run (a TableHeap in temp storage, so run
-/// I/O lands in the shared IoStats ledger). Finish() merges the runs with a
-/// bounded fan-in, cascading extra merge passes when the run count exceeds
-/// it. The overall sort is stable: equal keys keep arrival order.
+/// stable-sorted and spilled as a run (a TableHeap in the context's temp
+/// space, so run I/O lands in the database's IoStats ledger). Finish()
+/// merges the runs with a bounded fan-in, cascading extra merge passes when
+/// the run count exceeds it. The overall sort is stable: equal keys keep
+/// arrival order. The stream Finish() returns shares ownership of the temp
+/// space, so it stays readable after the sort and its contexts are gone.
 ///
 /// When `ctx.workers` is set, run generation overlaps with row intake:
 /// each full buffer is handed to the pool, sorted and spilled off-thread

@@ -139,10 +139,7 @@ Status Database::Init(DatabaseOptions options) {
   } else {
     backend_ = std::make_unique<MemoryBackend>(&stats_);
   }
-  temp_backend_ = std::make_unique<MemoryBackend>(&stats_);
   pool_ = std::make_unique<BufferPool>(backend_.get(), options_.pool_frames);
-  temp_pool_ = std::make_unique<BufferPool>(temp_backend_.get(),
-                                            options_.temp_pool_frames);
   catalog_ = std::make_unique<Catalog>(pool_.get());
   if (options_.worker_threads > 0) {
     workers_ = std::make_unique<WorkerPool>(options_.worker_threads);

@@ -24,9 +24,9 @@ class WorkerPool;
 struct DatabaseOptions {
   /// Buffer pool frames for base tables (default 256 frames = 1 MiB).
   size_t pool_frames = 256;
-  /// Buffer pool frames for temporary data (sort runs): the size of
-  /// temp_pool(), and of the private temp pool each partition of a SETM
-  /// mine (each shard::LocalShardBackend) spills into.
+  /// Buffer pool frames of each temp space (sort runs): every
+  /// ExecContext::From — one per SQL statement, delta recount, classed mine
+  /// or SETM partition run — spills into a private pool of this size.
   size_t temp_pool_frames = 64;
   /// Memory budget for in-memory sort runs, in bytes. The external sort
   /// spills once a run exceeds this budget.
@@ -67,7 +67,8 @@ struct DatabaseOptions {
 };
 
 /// Owns the full storage stack of one database instance: the I/O ledger,
-/// the main and temporary page stores, their buffer pools and the catalog.
+/// the main page store, its buffer pool and the catalog. Temporary data
+/// lives in scoped temp spaces (exec/exec_context.h), not here.
 ///
 /// Typical setup:
 ///
@@ -105,7 +106,6 @@ class Database {
 
   Catalog* catalog() { return catalog_.get(); }
   BufferPool* pool() { return pool_.get(); }
-  BufferPool* temp_pool() { return temp_pool_.get(); }
   /// Shared worker pool, or null when options.worker_threads == 0.
   WorkerPool* worker_pool() { return workers_.get(); }
   const DatabaseOptions& options() const { return options_; }
@@ -148,7 +148,8 @@ class Database {
   /// Checkpoints written so far (diagnostics; 0 for in-memory databases).
   uint64_t checkpoint_count() const { return superblock_.checkpoint_seq; }
 
-  /// The cumulative I/O ledger for all page traffic (base + temp).
+  /// The cumulative I/O ledger for all page traffic (base + every temp
+  /// space).
   IoStats* io_stats() { return &stats_; }
   const IoStats& io_stats() const { return stats_; }
 
@@ -184,13 +185,11 @@ class Database {
   /// File-backed stack, declaration order = reverse destruction order:
   /// the pool flushes into backend_ (the WAL decorator) on destruction,
   /// which appends to wal_, which reads/writes the real file — so the
-  /// decorated pieces must outlive backend_, which must outlive the pools.
+  /// decorated pieces must outlive backend_, which must outlive the pool.
   std::unique_ptr<StorageBackend> inner_backend_;  ///< the real main file
   std::unique_ptr<Wal> wal_;
   std::unique_ptr<StorageBackend> backend_;  ///< WalBackend (file) / memory
-  std::unique_ptr<StorageBackend> temp_backend_;
   std::unique_ptr<BufferPool> pool_;
-  std::unique_ptr<BufferPool> temp_pool_;
   std::unique_ptr<Catalog> catalog_;
   std::unique_ptr<WorkerPool> workers_;
   bool persistent_ = false;

@@ -9,6 +9,14 @@
 
 namespace setm::shard {
 
+namespace {
+
+bool RowLess(const ShardRow& a, const ShardRow& b) {
+  return a.tid != b.tid ? a.tid < b.tid : a.item < b.item;
+}
+
+}  // namespace
+
 Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows) {
   if (sales.schema().NumColumns() != 2) {
     return Status::InvalidArgument("SALES must have schema (trans_id, item)");
@@ -25,15 +33,15 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows) {
   return Status::OK();
 }
 
-LocalShardBackend::TempSpace::TempSpace(Database* db)
-    : backend(db->io_stats()), pool(&backend, db->options().temp_pool_frames) {}
-
 LocalShardBackend::LocalShardBackend(Database* db, std::string name,
                                      std::string scratch_prefix)
     : db_(db), name_(std::move(name)), prefix_(std::move(scratch_prefix)) {}
 
 void LocalShardBackend::SetRows(std::vector<ShardRow> rows) {
   rows_ = std::move(rows);
+  if (!std::is_sorted(rows_.begin(), rows_.end(), RowLess)) {
+    std::sort(rows_.begin(), rows_.end(), RowLess);
+  }
   bound_to_table_ = false;
 }
 
@@ -57,17 +65,6 @@ Result<std::unique_ptr<Table>> LocalShardBackend::NewRelation(
   return std::unique_ptr<Table>(std::move(t).value());
 }
 
-ExecContext LocalShardBackend::Context() const {
-  // Backends run on the coordinator's fan-out pool, on the caller's thread
-  // (a one-partition mine) or on a server job thread: never re-enter a pool
-  // from inside, so sorts get a worker-free context.
-  ExecContext ctx;
-  ctx.temp_pool = &temp_->pool;
-  ctx.sort_memory_bytes = db_->options().sort_memory_bytes;
-  ctx.workers = nullptr;
-  return ctx;
-}
-
 void LocalShardBackend::AddCount(const std::vector<ItemId>& items,
                                  int64_t count) {
   PatternCount& pc = counts_[ItemsetKey(items)];
@@ -81,29 +78,22 @@ Status LocalShardBackend::BeginRun(const ShardRunOptions& options) {
   if (bound_to_table_) {
     auto table_or = db_->catalog()->ResolveTable(table_name_);
     if (!table_or.ok()) return table_or.status();
-    SETM_RETURN_IF_ERROR(ExtractRows(*table_or.value(), &run_rows_));
-  } else {
-    run_rows_ = rows_;
+    SETM_RETURN_IF_ERROR(ExtractRows(*table_or.value(), &rows_));
+    std::sort(rows_.begin(), rows_.end(), RowLess);
   }
-  // R_1 is kept in (trans_id, item) order, the order the R'_k join needs.
-  std::sort(run_rows_.begin(), run_rows_.end(),
-            [](const ShardRow& a, const ShardRow& b) {
-              return a.tid != b.tid ? a.tid < b.tid : a.item < b.item;
-            });
-  temp_ = std::make_unique<TempSpace>(db_);
-  running_ = true;
+  ctx_ = ExecContext::From(db_);
+  ctx_.workers = nullptr;
   return Status::OK();
 }
 
 Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
-  if (!running_) {
+  if (ctx_.temp_pool == nullptr) {  // no open run
     return Status::Internal("CountIteration before BeginRun on shard " +
                             name_);
   }
   WallTimer timer;
   ShardLocalCounts out;
   counts_.clear();
-  const ExecContext ctx = Context();
   const GroupSink add_counts = [this](std::vector<ItemId> items,
                                       int64_t count) {
     AddCount(items, count);
@@ -115,9 +105,9 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
     r1_ = std::move(r1_or).value();
     std::vector<ItemId> item(1);
     uint64_t transactions = 0;
-    for (size_t i = 0; i < run_rows_.size(); ++i) {
-      const ShardRow& row = run_rows_[i];
-      if (i == 0 || row.tid != run_rows_[i - 1].tid) ++transactions;
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      const ShardRow& row = rows_[i];
+      if (i == 0 || row.tid != rows_[i - 1].tid) ++transactions;
       SETM_RETURN_IF_ERROR(r1_->Insert(
           Tuple({Value::Int32(row.tid), Value::Int32(row.item)})));
       if (run_.count_method == CountMethod::kHash) {
@@ -125,10 +115,12 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
         AddCount(item, 1);
       }
     }
-    run_rows_.clear();
-    run_rows_.shrink_to_fit();
+    if (bound_to_table_) {
+      rows_.clear();
+      rows_.shrink_to_fit();
+    }
     if (run_.count_method == CountMethod::kSortMerge) {
-      SETM_RETURN_IF_ERROR(CountInto(ctx, *r1_, 1, add_counts));
+      SETM_RETURN_IF_ERROR(CountInto(ctx_, *r1_, 1, add_counts));
     }
     out.transactions = transactions;
     out.r_prime_rows = r1_->num_rows();
@@ -150,7 +142,7 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
     SETM_RETURN_IF_ERROR(JoinIntoRkPrime(*left, *r1_, k, rk_prime_.get(),
                                          sink));
     if (run_.count_method == CountMethod::kSortMerge) {
-      SETM_RETURN_IF_ERROR(CountInto(ctx, *rk_prime_, k, add_counts));
+      SETM_RETURN_IF_ERROR(CountInto(ctx_, *rk_prime_, k, add_counts));
     }
     out.r_prime_rows = rk_prime_->num_rows();
   }
@@ -167,7 +159,7 @@ Result<ShardLocalCounts> LocalShardBackend::CountIteration(size_t k) {
 
 Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
     size_t k, const std::vector<std::vector<ItemId>>& ck) {
-  if (!running_) {
+  if (ctx_.temp_pool == nullptr) {  // no open run
     return Status::Internal("ApplyGlobalCk before BeginRun on shard " + name_);
   }
   std::unordered_set<std::string> keys;
@@ -205,7 +197,7 @@ Result<ShardFilterStats> LocalShardBackend::ApplyGlobalCk(
   // last iteration's stats carry |R_k| = 0 like Figure 4's loop.
   if (!keys.empty()) {
     SETM_RETURN_IF_ERROR(
-        FilterRkPrimeIntoRk(Context(), *rk_prime_, k, probe, rk.get()));
+        FilterRkPrimeIntoRk(ctx_, *rk_prime_, k, probe, rk.get()));
   }
   stats.r_rows = rk->num_rows();
   stats.r_bytes = rk->size_bytes();
@@ -220,10 +212,11 @@ Status LocalShardBackend::EndRun() {
   r_prev_.reset();
   rk_prime_.reset();
   counts_.clear();
-  run_rows_.clear();
-  run_rows_.shrink_to_fit();
-  temp_.reset();
-  running_ = false;
+  if (bound_to_table_) {
+    rows_.clear();
+    rows_.shrink_to_fit();
+  }
+  ctx_ = ExecContext{};
   return Status::OK();
 }
 

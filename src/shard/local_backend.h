@@ -33,29 +33,28 @@ Status ExtractRows(const Table& sales, std::vector<ShardRow>* rows);
 /// thread (a one-partition mine) or a server job thread.
 ///
 /// The slice comes from one of two sources, chosen before BeginRun:
-///   - SetRows(rows): a fixed in-memory slice (SetmMiner through
-///     MineOnLocalShards, and tests, use this).
-///   - BindTable(name): re-extracted from `db`'s catalog at every BeginRun,
-///     so a long-lived backend sees rows appended between runs (the server
-///     and file-shard members use this).
+///   - SetRows(rows): a fixed in-memory slice, sorted once and kept across
+///     runs (SetmMiner through MineOnLocalShards, and tests, use this).
+///   - BindTable(name): re-extracted from `db`'s catalog at every BeginRun
+///     and freed once R_1 is built, so a long-lived backend sees rows
+///     appended between runs (the server and file-shard members use this).
 ///
 /// Scratch relations are named "<prefix>r1", "<prefix>r2p", ... — standalone
 /// tables that never enter the catalog; kHeap scratch uses unlogged pages.
 ///
-/// Every sort the backend runs spills into its own temp space: a
-/// MemoryBackend recording into `db`'s IoStats ledger, under a BufferPool of
-/// `db->options().temp_pool_frames` frames. Concurrent partitions therefore
-/// never contend on one pool mutex, and each sort sees the same frame count
-/// (hence the same fan-in) whatever the partition count. The space lives
-/// from BeginRun to EndRun, so a run's spill pages are freed when it ends;
-/// Database::temp_pool is never touched.
+/// Every sort of a run spills into the run's own temp space
+/// (ExecContext::From), created at BeginRun and freed at EndRun. Concurrent
+/// partitions therefore never contend on one pool mutex, and each sort sees
+/// the same frame count (hence the same fan-in) whatever the partition
+/// count.
 class LocalShardBackend : public ShardBackend {
  public:
   /// `db` is borrowed and must outlive the backend.
   LocalShardBackend(Database* db, std::string name,
                     std::string scratch_prefix = "");
 
-  /// Fixes the slice directly. Rows need not be sorted.
+  /// Fixes the slice directly. Rows need not be sorted; they are sorted
+  /// here, once, unless they already are.
   void SetRows(std::vector<ShardRow> rows);
 
   /// Binds the slice to a catalog table, re-read at every BeginRun.
@@ -70,17 +69,8 @@ class LocalShardBackend : public ShardBackend {
   Result<ShardHealth> Health() override;
 
  private:
-  /// One run's spill storage; the pool flushes into the backend on
-  /// destruction, so the backend is declared first.
-  struct TempSpace {
-    explicit TempSpace(Database* db);
-    MemoryBackend backend;
-    BufferPool pool;
-  };
-
   Result<std::unique_ptr<Table>> NewRelation(const std::string& name,
                                              Schema schema);
-  ExecContext Context() const;
   void AddCount(const std::vector<ItemId>& items, int64_t count);
 
   Database* db_;
@@ -88,12 +78,17 @@ class LocalShardBackend : public ShardBackend {
   std::string prefix_;
   std::string table_name_;
   bool bound_to_table_ = false;
-  bool running_ = false;
 
-  std::vector<ShardRow> rows_;      ///< pristine slice when SetRows-sourced
-  std::vector<ShardRow> run_rows_;  ///< this run's slice, consumed by k=1
+  /// The slice in (trans_id, item) order, the order the R'_k join needs.
+  /// SetRows-sourced: kept across runs. Table-bound: extracted at BeginRun
+  /// and freed once k=1 has built R_1.
+  std::vector<ShardRow> rows_;
   ShardRunOptions run_;
-  std::unique_ptr<TempSpace> temp_;  ///< live between BeginRun and EndRun
+  /// Worker-free: backends run on the coordinator's fan-out pool, on the
+  /// caller's thread or on a server job thread, and never re-enter a pool
+  /// from inside. Its temp space lives between BeginRun and EndRun, so
+  /// `ctx_.temp_pool` is non-null exactly while a run is open.
+  ExecContext ctx_;
 
   std::unique_ptr<Table> r1_;        ///< R_1 slice (filtered when asked)
   std::unique_ptr<Table> r_prev_;    ///< R_{k-1}; null means use r1

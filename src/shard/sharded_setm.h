@@ -27,7 +27,7 @@ namespace setm::shard {
 /// for any thread count, and equal those of the literal SQL miner
 /// (miners_equivalence_test). The returned MiningResult::io is the database
 /// ledger's delta, which includes every partition's spill I/O (each spills
-/// into a temp pool of its own that records into that ledger).
+/// into a temp space of its own that records into that ledger).
 Result<MiningResult> MineOnLocalShards(Database* db,
                                        const SetmOptions& setm_options,
                                        std::vector<ShardRow> rows,

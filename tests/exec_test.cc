@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "common/random.h"
 #include "exec/exec_context.h"
 #include "exec/expression.h"
 #include "exec/external_sort.h"
 #include "exec/operators.h"
+#include "obs/metrics.h"
 #include "relational/database.h"
 #include "relational/table.h"
 
@@ -303,6 +305,58 @@ TEST_F(ExternalSortTest, ParallelRunGenerationMatchesSerial) {
   ASSERT_TRUE(it.ok()) << it.status().ToString();
   EXPECT_GT(sort.stats().spilled_runs, 1u);
   EXPECT_EQ(Drain(it.value().get()), expected);
+}
+
+// A spilled stream shares ownership of the temp space its runs live in: it
+// stays readable after the sort and every context copy are gone (ASan checks
+// for use-after-free), and the space dies with the stream.
+TEST(TempSpaceTest, SpilledStreamOutlivesSortAndContexts) {
+  DatabaseOptions options;
+  options.sort_memory_bytes = 256;
+  Database db(options);
+  std::weak_ptr<BufferPool> space;
+  std::unique_ptr<TupleIterator> stream;
+  std::vector<std::pair<int, int>> expected;
+  {
+    ExecContext ctx = ExecContext::From(&db);
+    space = ctx.temp_pool;
+    ExternalSort sort(ctx, TwoIntSchema(), TupleComparator({0, 1}));
+    Rng rng(31);
+    for (int i = 0; i < 2000; ++i) {
+      const int a = static_cast<int>(rng.Uniform(100));
+      expected.emplace_back(a, i);
+      ASSERT_TRUE(sort.Add(Row(a, i)).ok());
+    }
+    auto it = sort.Finish();
+    ASSERT_TRUE(it.ok()) << it.status().ToString();
+    ASSERT_GT(sort.stats().spilled_runs, 1u);
+    stream = std::move(it).value();
+  }
+  std::sort(expected.begin(), expected.end());
+  ASSERT_FALSE(space.expired());  // held by the stream alone
+  EXPECT_EQ(Drain(stream.get()), expected);
+  stream.reset();
+  EXPECT_TRUE(space.expired());
+}
+
+TEST(TempSpaceTest, EachContextGetsItsOwnSpace) {
+  DatabaseOptions options;
+  options.temp_pool_frames = 12;
+  Database db(options);
+  obs::Gauge* live =
+      obs::MetricsRegistry::Global()->GetGauge("setm_temp_spaces_live");
+  const int64_t before = live->Value();
+  {
+    ExecContext a = ExecContext::From(&db);
+    ExecContext b = ExecContext::From(&db);
+    EXPECT_NE(a.temp_pool, b.temp_pool);
+    EXPECT_EQ(a.temp_pool->capacity(), 12u);
+    EXPECT_EQ(b.temp_pool->capacity(), 12u);
+    const ExecContext copy = a;  // a copy shares the space
+    EXPECT_EQ(copy.temp_pool, a.temp_pool);
+    EXPECT_EQ(live->Value(), before + 2);
+  }
+  EXPECT_EQ(live->Value(), before);
 }
 
 TEST_F(ExternalSortTest, EmptyInput) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "exec/exec_context.h"
@@ -183,9 +184,8 @@ TEST(FaultInjectionTest, ExternalSortSpillFailureIsReported) {
   IoStats stats;
   MemoryBackend real(&stats);
   FaultInjectionBackend flaky(&real, 8);
-  BufferPool temp_pool(&flaky, 8);
   ExecContext ctx;
-  ctx.temp_pool = &temp_pool;
+  ctx.temp_pool = std::make_shared<BufferPool>(&flaky, 8);
   ctx.sort_memory_bytes = 128;  // spill almost immediately
 
   Schema schema({Column{"a", ValueType::kInt32}});

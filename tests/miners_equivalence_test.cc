@@ -257,11 +257,10 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values(CountMethod::kSortMerge,
                                      CountMethod::kHash)));
 
-// A sort budget of 512 bytes and an 8-frame temp pool make every
-// partition's sorts spill and cascade merge passes — the one partition of a
-// serial mine's included. Each partition spills into its own temp space, so
-// the database's shared temp pool stays untouched, while the spill I/O
-// still lands in the database's ledger.
+// A sort budget of 512 bytes and 8-frame temp spaces make every partition's
+// sorts spill and cascade merge passes — the one partition of a serial
+// mine's included. Each partition spills into its own temp space, freed when
+// its run ends, while the spill I/O still lands in the database's ledger.
 class PartitionedSpillTest
     : public testing::TestWithParam<
           std::tuple<TableBacking, size_t, CountMethod>> {};
@@ -287,7 +286,10 @@ TEST_P(PartitionedSpillTest, SpillingPartitionsMatchSqlMiner) {
 
   obs::Counter* spilled = obs::MetricsRegistry::Global()->GetCounter(
       "setm_sort_spilled_runs_total");
+  obs::Gauge* live_spaces = obs::MetricsRegistry::Global()->GetGauge(
+      "setm_temp_spaces_live");
   const uint64_t spilled_before = spilled->Value();
+  const int64_t live_before = live_spaces->Value();
   SetmOptions parallel_opts;
   parallel_opts.storage = std::get<0>(GetParam());
   parallel_opts.num_threads = std::get<1>(GetParam());
@@ -300,8 +302,7 @@ TEST_P(PartitionedSpillTest, SpillingPartitionsMatchSqlMiner) {
   EXPECT_TRUE(result.value().itemsets == expected.itemsets);
   ExpectSameIterations(expected, result.value());
 
-  const BufferPool::PoolStats shared = db.temp_pool()->Stats();
-  EXPECT_EQ(shared.hits + shared.misses, 0u);
+  EXPECT_EQ(live_spaces->Value(), live_before);
   EXPECT_GT(result.value().io.page_writes, 0u);
 }
 

@@ -23,6 +23,7 @@
 #include "net/line_buffer.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "relational/database.h"
 
 namespace setm::net {
@@ -312,11 +313,16 @@ TransactionDb TinyTxns() {
 
 /// One in-memory database + server, bound to an ephemeral loopback port.
 struct ServerFixture {
-  explicit ServerFixture(ServerOptions options = {}) {
+  /// `store_prefix` is empty by default: per-test isolation, no shared
+  /// result cache.
+  explicit ServerFixture(ServerOptions options = {},
+                         DatabaseOptions db_options = {},
+                         std::string store_prefix = "")
+      : db(std::move(db_options)) {
     auto sales = LoadSalesTable(&db, "sales", TinyTxns(), TableBacking::kMemory);
     EXPECT_TRUE(sales.ok()) << sales.status().ToString();
     options.port = 0;
-    options.store_prefix = "";  // per-test isolation: no shared result cache
+    options.store_prefix = std::move(store_prefix);
     auto server_or = MiningServer::Create(&db, std::move(options));
     EXPECT_TRUE(server_or.ok()) << server_or.status().ToString();
     server = std::move(server_or).value();
@@ -556,6 +562,55 @@ TEST(MiningServerTest, AppendStreamsRowsAndRemines) {
   FrequentItemsets itemsets = std::move(oracle.value().itemsets);
   itemsets.Normalize();
   EXPECT_EQ(appended.value().payload, RenderItemsets(itemsets));
+}
+
+// Every sort of a request spills into a temp space scoped to it, so a
+// long-lived server keeps no spill pages between requests: SQL-executor
+// mines and APPENDs whose old-partition recount spills leave no temp space
+// alive once answered.
+TEST(MiningServerTest, SpillingRequestsFreeTheirTempSpaces) {
+  DatabaseOptions db_options;
+  db_options.sort_memory_bytes = 64;  // every sort of SALES spills
+  db_options.temp_pool_frames = 8;
+  ServerFixture fixture({}, db_options, "fi");
+  auto client = fixture.Connect();
+
+  obs::MetricsRegistry* registry = obs::MetricsRegistry::Global();
+  obs::Gauge* live = registry->GetGauge("setm_temp_spaces_live");
+  obs::Counter* spilled = registry->GetCounter("setm_sort_spilled_runs_total");
+  obs::Counter* full_mines = registry->GetCounter("setm_plan_full_mine_total");
+  obs::Counter* derives = registry->GetCounter("setm_plan_delta_derive_total");
+  ASSERT_EQ(live->Value(), 0);
+
+  // Each MINE asks for a lower support than the stored run holds, so it is
+  // a full setm-sql mine (and its write-back makes the next APPEND a delta
+  // derivation). Each APPEND brings a transaction with itemsets the stored
+  // run lacks, so the derivation recounts them in the old partition.
+  const char* const kAppends[] = {"101 0 6 7", "102 1 5 7", "103 2 8"};
+  for (int round = 0; round < 3; ++round) {
+    const std::string support = std::to_string(3 - round);
+    const uint64_t mines_before = full_mines->Value();
+    uint64_t spilled_before = spilled->Value();
+    auto mine =
+        client->Exec("MINE sales SUPPORT " + support + " ALGO setm-sql");
+    ASSERT_TRUE(mine.ok());
+    ASSERT_TRUE(mine.value().ok) << mine.value().info;
+    EXPECT_EQ(full_mines->Value(), mines_before + 1) << "round " << round;
+    EXPECT_GT(spilled->Value(), spilled_before) << "round " << round;
+    EXPECT_EQ(live->Value(), 0) << "round " << round;
+
+    const uint64_t derives_before = derives->Value();
+    spilled_before = spilled->Value();
+    ASSERT_TRUE(client->SendLine("APPEND sales SUPPORT " + support).ok());
+    ASSERT_TRUE(client->SendLine(kAppends[round]).ok());
+    ASSERT_TRUE(client->SendLine(".").ok());
+    auto appended = client->ReadResponse();
+    ASSERT_TRUE(appended.ok());
+    ASSERT_TRUE(appended.value().ok) << appended.value().info;
+    EXPECT_EQ(derives->Value(), derives_before + 1) << "round " << round;
+    EXPECT_GT(spilled->Value(), spilled_before) << "round " << round;
+    EXPECT_EQ(live->Value(), 0) << "round " << round;
+  }
 }
 
 TEST(MiningServerTest, AppendBadRowDrainsBatchAndReportsOnce) {

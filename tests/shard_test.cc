@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -227,6 +228,32 @@ TEST(DistributedMineTest, SkewedShardsStayExact) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result.value().itemsets == expected.value().itemsets);
   ExpectSameIterations(result.value(), expected.value());
+
+  // A SetRows slice is sorted once and kept: rows handed over out of order
+  // mine the same, and a second run of the same backends repeats the first
+  // run and leaves Health() as it was.
+  std::vector<ShardRow> reversed = RowsOf(slices[0]);
+  std::reverse(reversed.begin(), reversed.end());
+  LocalShardBackend big(&db, "big", "big_");
+  big.SetRows(std::move(reversed));
+  LocalShardBackend small(&db, "small", "small_");
+  small.SetRows(RowsOf(slices[1]));
+  const std::vector<ShardBackend*> backends = {&big, &small};
+  auto health_before = big.Health();
+  ASSERT_TRUE(health_before.ok());
+  for (int run = 0; run < 2; ++run) {
+    auto again = DistributedMine(backends, options, CoordinatorOptions{});
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    EXPECT_TRUE(again.value().itemsets == expected.value().itemsets)
+        << "run " << run;
+    ExpectSameIterations(again.value(), expected.value());
+    auto health = big.Health();
+    ASSERT_TRUE(health.ok());
+    EXPECT_EQ(health.value().sales_rows, health_before.value().sales_rows);
+    EXPECT_EQ(health.value().sales_bytes, health_before.value().sales_bytes);
+    EXPECT_EQ(health.value().transactions,
+              health_before.value().transactions);
+  }
 }
 
 TEST(DistributedMineTest, NoShardsIsInvalidArgument) {

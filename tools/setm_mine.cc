@@ -624,9 +624,9 @@ int main(int argc, char** argv) {
     // fair basis for cross-invocation page-count comparisons.
     std::fprintf(stderr, "db io: %s\n",
                  db->io_stats()->ToString().c_str());
-    // Every buffer pool of the process — the database's main and temp
-    // pools and each `--threads N` partition's private temp pool — feeds
-    // the process-wide setm_pool_* counters, matching the scope of `db io:`.
+    // Every buffer pool of the process — the database's main pool and
+    // every temp space a sort spilled into — feeds the process-wide
+    // setm_pool_* counters, matching the scope of `db io:`.
     obs::MetricsRegistry* registry = obs::MetricsRegistry::Global();
     auto pool_total = [registry](const char* name) {
       return static_cast<unsigned long long>(
